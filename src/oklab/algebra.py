@@ -11,20 +11,18 @@ Fujita-style ladder over degree-p subalgebras.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from itertools import combinations
 
 from .errors import (RegularityNotReachedError, UnsupportedSemigroupError,
                      ValidationError)
-from .lattice import group_generated, rational_rank
-from .polytope import (MultidegreePolynomial, PolyCone, Sublattice,
-                       compositions, cone_fiber, convex_hull,
-                       dd_extreme_rays, integral_volume, make_cone,
-                       _solve_square)
-from .semigroup import BoundRule, GradedSemigroup, StaircaseSpec, \
-    VeroneseRay
+from .lattice import group_generated
+from .polytope import (MultidegreePolynomial, Sublattice, compositions,
+                       cone_fiber, dd_extreme_rays, integral_volume,
+                       make_cone, _solve_square)
+from .semigroup import GradedSemigroup, StaircaseSpec, VeroneseRay, \
+    tail_fit
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,7 @@ class FiberVolume:
 class MixedMultiplicityReport:
     d: tuple
     value: object                  # Fraction (exact) or float
-    provenance: str                # "exact" | "fujita"
+    provenance: str                # "exact" | "extrapolated"
     ladder: tuple = ()             # tuple of (p, Fraction)
     positive: bool = False
 
@@ -114,9 +112,9 @@ class MonomialAlgebra:
         if isinstance(src, StaircaseSpec) and _is_polyhedral(src):
             ineqs = []
             dim = 1 + src.s
-            for f in _lower_forms(src):
+            for f in src.lower.forms:
                 ineqs.append((Fraction(1),) + tuple(-Fraction(c) for c in f))
-            for f in _upper_forms(src):
+            for f in src.upper.forms:
                 ineqs.append((Fraction(-1),) + tuple(Fraction(c) for c in f))
             for i in range(src.s):
                 ineqs.append(tuple(Fraction(int(j == i + 1))
@@ -198,14 +196,8 @@ class MonomialAlgebra:
         q = self.krull_dim() - self.s
         ray = self.semigroup.veronese_ray(n)
         counts = ray.counts_upto(n_max, subsample=subsample)
-        ks = np.array(sorted(k for k in counts if k >= max(1, n_max // 2)))
-        ys = np.array([counts[int(k)] for k in ks], dtype=float)
-        if q == 0:
-            return float(ys.mean())
-        design = np.stack([ks.astype(float) ** q,
-                           ks.astype(float) ** (q - 1)], axis=1)
-        sol, *_ = np.linalg.lstsq(design, ys, rcond=None)
-        return float(sol[0])
+        ks = sorted(k for k in counts if k >= max(1, n_max // 2))
+        return tail_fit(ks, [counts[k] for k in ks], q)
 
     # -- decomposability, truncations ----------------------------------------
 
@@ -294,26 +286,16 @@ class MonomialAlgebra:
         if not ok:
             raise ValidationError(
                 f"grading is not decomposable; first failure at {witness}")
-        ladder = []
-        for p in p_schedule:
+
+        def rung(p):
             ap = self.p_subalgebra(p)
-            qp = ap.krull_dim() - self.s
-            if qp < q:
-                ladder.append((p, Fraction(0)))
-                continue
+            if ap.krull_dim() - self.s < q:
+                return Fraction(0)
             _, mixed = ap.hilbert_polynomial()
-            ladder.append((p, Fraction(mixed[d], p ** q)))
-        values = [v for _, v in ladder]
-        positive, _ = self.positivity(d)
-        if len(set(values[-2:])) == 1:
-            return MixedMultiplicityReport(
-                d=d, value=values[-1], provenance="exact",
-                ladder=tuple(ladder), positive=positive)
-        # One Richardson step: the ladder converges with O(1/p) error.
-        extrap = 2.0 * float(values[-1]) - float(values[-2])
-        return MixedMultiplicityReport(
-            d=d, value=extrap, provenance="fujita",
-            ladder=tuple(ladder), positive=positive)
+            return Fraction(mixed[d], p ** q)
+
+        return ladder_report(d, rung, p_schedule,
+                             lambda value: self.positivity(d)[0])
 
     def positivity(self, d):
         """(flag, certificate) for e(d; A) > 0 via subset dimensions.
@@ -325,16 +307,11 @@ class MonomialAlgebra:
         d = tuple(int(x) for x in d)
         axes = list(range(1, self.s + 1))
         for size in range(1, self.s + 1):
-            for subset in _subsets(axes, size):
+            for subset in combinations(axes, size):
                 lhs = sum(d[j - 1] for j in subset)
                 if lhs > self.dim_subalgebra(subset) - size:
                     return False, subset
         return True, None
-
-
-def _subsets(items, size):
-    from itertools import combinations
-    return combinations(items, size)
 
 
 def _is_polyhedral(spec):
@@ -342,12 +319,24 @@ def _is_polyhedral(spec):
         spec.upper.kind in ("linear", "min")
 
 
-def _lower_forms(spec):
-    return spec.lower.forms
+def ladder_report(d, rung, p_schedule, positive):
+    """Mixed multiplicity of type ``d`` from the ladder p -> rung(p).
 
-
-def _upper_forms(spec):
-    return spec.upper.forms
+    The value is exact once the last two rungs agree; otherwise one
+    Richardson step extrapolates, since the ladder converges with O(1/p)
+    error.  ``positive(value)`` gives the positivity flag.
+    """
+    if len(p_schedule) < 2:
+        raise ValidationError(
+            f"p-schedule {tuple(p_schedule)} needs at least two rungs")
+    ladder = tuple((p, rung(p)) for p in p_schedule)
+    last, prev = ladder[-1][1], ladder[-2][1]
+    if last == prev:
+        value, provenance = last, "exact"
+    else:
+        value, provenance = 2.0 * float(last) - float(prev), "extrapolated"
+    return MixedMultiplicityReport(d=d, value=value, provenance=provenance,
+                                   ladder=ladder, positive=positive(value))
 
 
 def _project_valuation(lattice, r):

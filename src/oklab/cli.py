@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import (InternalConsistencyError, OklabError,
                      RegularityNotReachedError, ResourceLimitError,
-                     ValidationError)
+                     ValidationError, memory_limit_bytes)
 from .ideals import mixed_volume_via_ideals, family_mixed_multiplicities
 from .presets import PRESETS, preset
 from .serialize import (RENDERERS, algebra_from_json, family_from_json,
@@ -239,9 +239,6 @@ def build_parser():
                         help="comma-separated p ladder (default 1,2,4,8)")
     parser.add_argument("--bound", type=int, default=8,
                         help="closure/decomposability bound (default 8)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; enumeration currently runs on "
-                             "one thread")
     return parser
 
 
@@ -251,8 +248,7 @@ def main(argv=None):
     try:
         if args.example_pos and not args.example:
             args.example = args.example_pos
-        if args.threads < 1:
-            raise ValidationError("--threads must be at least 1")
+        memory_limit_bytes()  # a bad OKLAB_MEMORY_LIMIT_MB exits 2 up front
         args.pschedule = _parse_vector(args.pschedule, int)
         result = COMMANDS[args.command](args)
         _emit(args, result)

@@ -1,8 +1,10 @@
-"""Exception taxonomy shared by all modules.
+"""Exception taxonomy shared by all modules, and the memory guard.
 
 Exit-code mapping used by the CLI: validation errors exit 2, resource
 limits exit 3, internal-consistency failures exit 4.
 """
+
+import os
 
 
 class OklabError(Exception):
@@ -59,3 +61,19 @@ class RegularityNotReachedError(OklabError):
     def __init__(self, message, last_fits=None):
         super().__init__(message)
         self.last_fits = last_fits
+
+
+def memory_limit_bytes():
+    """The memory guard, ``OKLAB_MEMORY_LIMIT_MB`` (default 1024) in bytes.
+
+    Raises ``ValidationError`` unless the value is a positive integer.
+    """
+    text = os.environ.get("OKLAB_MEMORY_LIMIT_MB", "1024")
+    try:
+        mb = int(text)
+    except ValueError:
+        mb = 0
+    if mb <= 0:
+        raise ValidationError(
+            f"OKLAB_MEMORY_LIMIT_MB must be a positive integer, got {text!r}")
+    return mb * 1024 * 1024

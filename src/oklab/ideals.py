@@ -10,21 +10,16 @@ families, explicit lists, or the homogenization of a convex body.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import ResourceLimitError, UnsupportedIdealError, \
-    ValidationError
-from .polytope import Polytope, convex_hull, mixed_volume
-from .algebra import MixedMultiplicityReport, _stable_fit
-
-
-def _memory_limit_cells():
-    mb = int(os.environ.get("OKLAB_MEMORY_LIMIT_MB", "1024"))
-    return mb * 1024 * 1024
+    ValidationError, memory_limit_bytes
+from .polytope import compositions, convex_hull, mixed_volume
+from .algebra import _stable_fit, ladder_report
+from .semigroup import tail_fit
 
 
 @dataclass(frozen=True)
@@ -153,7 +148,7 @@ def quotient_dim(num, den, c_cap=4096):
             "the quotient is not finite-dimensional")
     maxcoord = max(max(g) for g in num.min_gens)
     side = maxcoord + c + 1
-    if side ** d > _memory_limit_cells():
+    if side ** d > memory_limit_bytes():
         raise ResourceLimitError(
             f"quotient grid {side}^{d} exceeds the memory guard")
     shape = (side,) * d
@@ -176,7 +171,7 @@ def quotient_dim_by_mpower(num, c):
     d = num.num_vars
     maxcoord = max(max(g) for g in num.min_gens)
     side = maxcoord + c + 1
-    if side ** d * 4 > _memory_limit_cells():
+    if side ** d * 4 > memory_limit_bytes():
         raise ResourceLimitError(
             f"quotient grid {side}^{d} exceeds the memory guard")
     shape = (side,) * d
@@ -209,25 +204,16 @@ def _mpower_times_contained(num, den, c):
     d = num.num_vars
     maxc = max(max(g) for g in den.min_gens) + c + 1
     side = max(max(max(g) for g in num.min_gens) + c + 1, maxc)
-    if side ** d > _memory_limit_cells():
+    if side ** d > memory_limit_bytes():
         raise ResourceLimitError(
             f"certificate grid {side}^{d} exceeds the memory guard")
     grid_den = _closure_grid(den.min_gens, (side,) * d)
-    shell = [e for e in _simplex_shell(c, d)]
+    shell = compositions(c, d)
     for g in num.min_gens:
         for e in shell:
             if not grid_den[tuple(a + b for a, b in zip(g, e))]:
                 return False
     return True
-
-
-def _simplex_shell(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _simplex_shell(total - first, parts - 1):
-            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +349,9 @@ def bhattacharya_limit(ifam, jfams, point, n_max=40, subsample=4):
     d = ifam.num_vars
     point = tuple(int(x) for x in point)
     ks = list(range(max(1, n_max // 2), n_max + 1, subsample))
-    ys = [float(_bhattacharya_value(
-        ifam, jfams, tuple(k * x for x in point))) for k in ks]
-    design = np.stack([np.array(ks, dtype=float) ** d,
-                       np.array(ks, dtype=float) ** (d - 1)], axis=1)
-    sol, *_ = np.linalg.lstsq(design, np.array(ys), rcond=None)
-    return float(sol[0])
+    ys = [_bhattacharya_value(ifam, jfams, tuple(k * x for x in point))
+          for k in ks]
+    return tail_fit(ks, ys, d)
 
 
 def fixed_ideal_mixed_multiplicities(ideal_i, ideals_j):
@@ -405,21 +388,16 @@ def family_mixed_multiplicities(ifam, jfams, dtype, p_schedule=(1, 2, 4)):
     if d0 + sum(dvec) != d - 1:
         raise ValidationError(
             f"type {dtype} must satisfy d0 + |d| = {d - 1}")
-    ladder = []
-    for p in p_schedule:
+
+    def rung(p):
         mm = fixed_ideal_mixed_multiplicities(
             ifam.ideal(p), [f.ideal(p) for f in jfams])
-        val = mm.get((d0,) + dvec, Fraction(0))
-        ladder.append((p, Fraction(val, p ** d)))
-    values = [v for _, v in ladder]
-    if len(set(values[-2:])) == 1:
-        return MixedMultiplicityReport(
-            d=(d0,) + dvec, value=values[-1], provenance="exact",
-            ladder=tuple(ladder), positive=values[-1] > 0)
-    extrap = 2.0 * float(values[-1]) - float(values[-2])
-    return MixedMultiplicityReport(
-        d=(d0,) + dvec, value=extrap, provenance="fujita",
-        ladder=tuple(ladder), positive=extrap > 1e-9)
+        return Fraction(mm.get((d0,) + dvec, Fraction(0)), p ** d)
+
+    return ladder_report(
+        (d0,) + dvec, rung, p_schedule,
+        lambda value: value > 0 if isinstance(value, Fraction)
+        else value > 1e-9)
 
 
 def analytic_spread(ideal):

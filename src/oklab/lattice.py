@@ -3,6 +3,11 @@
 Points are plain tuples of Python ints (arbitrary precision).  A
 ``Sublattice`` stores a row-style Hermite normal form basis: pivot
 entries positive, entries above each pivot reduced into [0, pivot).
+
+All elimination over Q lives here, in one fraction-free kernel:
+``echelon`` (Bareiss) gives ranks, determinants, solutions in a basis
+and greedy independent subsets.  Lattice bases go through the
+unimodular ``hermite_normal_form`` instead.
 """
 
 from __future__ import annotations
@@ -123,29 +128,6 @@ def group_generated(points, ambient_dim=None):
     return Sublattice(basis=tuple(basis), ambient_dim=ambient_dim)
 
 
-def int_det(rows):
-    """Determinant of a square integer matrix (Bareiss, fraction-free)."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
-
-
 def subgroup_index(sub, ambient):
     """Index [ambient : sub]; ``math.inf`` when the rank drops.
 
@@ -220,25 +202,81 @@ def lattice_preimage(phi, lattice):
     return Sublattice(basis=tuple(basis), ambient_dim=n)
 
 
-def rational_rank(vectors):
-    """Rank over Q of a list of rational vectors."""
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    rank = 0
-    if not rows:
-        return 0
-    n = len(rows[0])
-    for col in range(n):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+def echelon(rows):
+    """Fraction-free row echelon form of a rational matrix (Bareiss).
+
+    Each row is scaled to integers by the lcm of its denominators, then
+    eliminated forward with row pivoting, skipping columns without a
+    pivot.  Every update is divided exactly by the previous pivot, so
+    all entries stay integers (minors of the scaled matrix).
+
+    Returns ``(rows, pivots, sign, scale)``: the integer echelon rows,
+    the pivot columns in order, the sign of the row permutation and the
+    product of the row scales.
+    """
+    a = []
+    scale = 1
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (den // x.denominator) for x in row])
+        scale *= den
+    m = len(a)
+    pivots = []
+    sign, prev = 1, 1
+    for col in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if a[i][col]), None)
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [u * inv for u in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [u - f * w for u, w in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        top = a[r]
+        p = top[col]
+        for i in range(r + 1, m):
+            f = a[i][col]
+            a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], top)]
+        prev = p
+        pivots.append(col)
+    return a, pivots, sign, scale
+
+
+def rational_rank(vectors):
+    """Rank over Q of a list of rational vectors."""
+    return len(echelon(vectors)[1])
+
+
+def det(rows):
+    """Determinant of a square rational matrix, as a Fraction."""
+    a, pivots, sign, scale = echelon(rows)
+    if not a:
+        return Fraction(1)
+    if len(pivots) < len(a):
+        return Fraction(0)
+    return Fraction(sign * a[-1][-1], scale)
+
+
+def int_det(rows):
+    """Determinant of a square integer matrix."""
+    return int(det(rows))
+
+
+def solve(columns, target):
+    """Coordinates of ``target`` in the Q-basis ``columns``, or None.
+
+    None when the target is outside the span of the columns or the
+    columns are dependent, so a returned solution is the unique one.
+    """
+    k = len(columns)
+    a, pivots, _, _ = echelon([[c[i] for c in columns] + [t]
+                               for i, t in enumerate(target)])
+    if pivots != list(range(k)):
+        return None
+    sol = [Fraction(0)] * k
+    for i in range(k - 1, -1, -1):
+        row = a[i]
+        rest = row[k] - sum(row[j] * sol[j] for j in range(i + 1, k))
+        sol[i] = Fraction(rest) / row[i]
+    return sol

@@ -4,20 +4,21 @@ Rational points are tuples of ``fractions.Fraction``; cones and
 halfspace normals are integer tuples.  The double description method
 (incremental inequality insertion with the combinatorial adjacency
 test) provides both directions of the V/H conversion, which is also how
-fibers of cones and facet enumerations are obtained.  Everything is
-exact; no floating-point anywhere in this module.
+fibers of cones and facet enumerations are obtained.  Ranks,
+determinants and coordinates in a basis come from the fraction-free
+elimination kernel in ``lattice``.  Everything is exact; no
+floating-point anywhere in this module.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (DimensionMismatchError, InternalConsistencyError,
                      InvalidRayError, MeasureMismatchError, ValidationError)
-from .lattice import Sublattice, rational_rank
+from .lattice import Sublattice, det, echelon, rational_rank, solve
 from .lp import in_convex_hull
 
 
@@ -100,44 +101,10 @@ def dd_extreme_rays(ineqs, dim):
     return lines, rays
 
 
-def _solve_in_basis(basis, target):
-    """Coordinates of ``target`` in the Q-span of ``basis`` rows, or None."""
-    k = len(basis)
-    n = len(target)
-    aug = [[Fraction(basis[j][i]) for j in range(k)] + [Fraction(target[i])]
-           for i in range(n)]
-    piv_cols = []
-    row = 0
-    for col in range(k):
-        piv = next((i for i in range(row, n) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for i in range(n):
-            if i != row and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
-        piv_cols.append(col)
-        row += 1
-    if any(aug[i][-1] for i in range(row, n)):
-        return None
-    sol = [Fraction(0)] * k
-    for i, col in enumerate(piv_cols):
-        sol[col] = aug[i][-1]
-    return sol
-
-
-def _independent_subset(vectors, rank):
-    """A maximal Q-independent subset (of size ``rank``)."""
-    chosen = []
-    for v in vectors:
-        if rational_rank(chosen + [v]) > len(chosen):
-            chosen.append(v)
-            if len(chosen) == rank:
-                break
-    return chosen
+def _independent_subset(vectors):
+    """The greedy-first maximal Q-independent subset of ``vectors``."""
+    _, pivots, _, _ = echelon(list(zip(*vectors)))
+    return [vectors[j] for j in pivots]
 
 
 @dataclass
@@ -325,13 +292,13 @@ def _triangulate(points):
     """Simplices (as vertex tuples) triangulating conv(points)."""
     p0 = points[0]
     diffs = [tuple(x - y for x, y in zip(p, p0)) for p in points[1:]]
-    k = rational_rank(diffs)
+    basis = _independent_subset(diffs)
+    k = len(basis)
     if k == 0:
         return [(p0,)]
     if len(points) == k + 1:
         return [tuple(points)]
-    basis = _independent_subset(diffs, k)
-    coords = [_solve_in_basis(basis, tuple(x - y for x, y in zip(p, p0)))
+    coords = [solve(basis, tuple(x - y for x, y in zip(p, p0)))
               for p in points]
     simplices = []
     for a, a0 in _facets_local(coords):
@@ -341,27 +308,6 @@ def _triangulate(points):
         for tri in _triangulate(fpts):
             simplices.append((p0,) + tri)
     return simplices
-
-
-def _det(rows):
-    """Determinant of a square Fraction matrix (Gaussian elimination)."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for i in range(col + 1, n):
-            if a[i][col]:
-                f = a[i][col] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return det
 
 
 def integral_volume(poly, reference_lattice):
@@ -386,14 +332,14 @@ def integral_volume(poly, reference_lattice):
             "lattice span differs from the affine hull directions")
     coords = []
     for v in poly.vertices:
-        c = _solve_in_basis(basis, tuple(x - y for x, y in zip(v, v0)))
+        c = solve(basis, tuple(x - y for x, y in zip(v, v0)))
         if c is None:
             raise MeasureMismatchError("vertex outside the lattice span")
         coords.append(tuple(c))
     total = Fraction(0)
     for simplex in _triangulate(coords):
         rows = [[x - y for x, y in zip(p, simplex[0])] for p in simplex[1:]]
-        total += abs(_det(rows))
+        total += abs(det(rows))
     return total / math.factorial(q)
 
 
@@ -468,21 +414,10 @@ def compositions(total, parts):
 
 
 def _solve_square(matrix, rhs):
-    n = len(matrix)
-    aug = [[Fraction(x) for x in row] + [Fraction(b)]
-           for row, b in zip(matrix, rhs)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
-        if piv is None:
-            raise InternalConsistencyError("singular interpolation matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [aug[i][-1] for i in range(n)]
+    sol = solve(list(zip(*matrix)), rhs)
+    if sol is None:
+        raise InternalConsistencyError("singular interpolation matrix")
+    return sol
 
 
 def minkowski_polynomial(bodies):

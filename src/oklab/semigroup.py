@@ -11,23 +11,33 @@ what makes the limit checks at n_max = 500 affordable.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import (EmptyTruncationError, ResourceLimitError,
-                     UnsupportedSemigroupError, ValidationError)
+                     UnsupportedSemigroupError, ValidationError,
+                     memory_limit_bytes)
 from .lattice import group_generated, integer_kernel, subgroup_index, \
     vanishing_forms
 from .lp import cone_is_pointed
 from .polytope import Polytope, convex_hull, integral_volume
 
 
-def _memory_limit_bits():
-    mb = int(os.environ.get("OKLAB_MEMORY_LIMIT_MB", "1024"))
-    return mb * 8 * 1024 * 1024
+def tail_fit(ks, ys, q):
+    """Leading coefficient a of the least-squares fit y ~ a k^q + b k^(q-1).
+
+    For q = 0 the counts are eventually constant and their mean is
+    returned.
+    """
+    ys = np.asarray(ys, dtype=float)
+    if q == 0:
+        return float(ys.mean())
+    ks = np.asarray(ks, dtype=float)
+    design = np.stack([ks ** q, ks ** (q - 1)], axis=1)
+    sol, *_ = np.linalg.lstsq(design, ys, rcond=None)
+    return float(sol[0])
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +219,7 @@ class GradedSemigroup:
         memo = self._piece_memo
         if n in memo:
             return memo[n]
-        limit = _memory_limit_bits() // (64 * max(self.r, 1))
+        limit = 8 * memory_limit_bytes() // (64 * max(self.r, 1))
         # Bottom-up over the divisibility box, cheapest degrees first.
         pending = sorted(self._reachable_degrees(n), key=sum)
         for deg in pending:
@@ -292,7 +302,7 @@ class GradedSemigroup:
         base = [_floor_frac(x) for x in lo_ratio]
         widths = [int(_floor_frac(n_max * (h - b))) + 1
                   for h, b in zip(hi_ratio, base)]
-        if math.prod(widths) * min(len(degs), 4) > _memory_limit_bits():
+        if math.prod(widths) * min(len(degs), 4) > 8 * memory_limit_bytes():
             raise ResourceLimitError(
                 "bitset counting exceeds the memory guard", degree=n_max)
         strides = [1] * dims
@@ -403,15 +413,8 @@ class GradedSemigroup:
         predicted = vol / inv["ind"]
         m = inv["m"]
         counts = self.counts_upto(n_max * m)
-        ns = np.arange(max(1, n_max // 2), n_max + 1)
-        ys = np.array([counts[int(n) * m] for n in ns], dtype=float)
-        if q == 0:
-            estimate = float(ys.mean())
-        else:
-            design = np.stack([ns.astype(float) ** q,
-                               ns.astype(float) ** (q - 1)], axis=1)
-            sol, *_ = np.linalg.lstsq(design, ys, rcond=None)
-            estimate = float(sol[0])
+        ns = range(max(1, n_max // 2), n_max + 1)
+        estimate = tail_fit(ns, [counts[n * m] for n in ns], q)
         rel_err = abs(estimate - float(predicted)) / float(predicted)
         return {"estimate": estimate, "predicted": predicted,
                 "rel_err": rel_err, "q": q, "m": m, "ind": inv["ind"]}

@@ -8,12 +8,11 @@ import json
 from fractions import Fraction
 
 from .errors import ValidationError
-from .polytope import Polytope, convex_hull
-from .semigroup import BoundRule, GradedSemigroup, StaircaseSpec
+from .polytope import convex_hull
+from .semigroup import BoundRule, StaircaseSpec
 from .algebra import MonomialAlgebra
-from .ideals import (BodyFamily, ExplicitFamily, GradedIdealFamily,
-                     MonomialIdeal, PowersFamily, body_to_family,
-                     monomial_ideal)
+from .ideals import (BodyFamily, ExplicitFamily, PowersFamily,
+                     body_to_family, monomial_ideal)
 
 SCHEMA_VERSION = 1
 
@@ -32,6 +31,9 @@ def str_to_frac(s):
 
 
 def _check_version(obj):
+    if not isinstance(obj, dict):
+        raise ValidationError(
+            f"expected a JSON object, got {type(obj).__name__}")
     v = obj.get("schema_version", SCHEMA_VERSION)
     if v != SCHEMA_VERSION:
         raise ValidationError(f"unsupported schema_version {v}")
@@ -77,20 +79,23 @@ def algebra_to_json(algebra):
 
 def algebra_from_json(obj):
     _check_version(obj)
-    if "staircase" in obj:
-        spec = StaircaseSpec(
-            s=int(obj["s"]),
-            lower=_rule_from_json(obj["staircase"]["lower"]),
-            upper=_rule_from_json(obj["staircase"]["upper"]))
-        return MonomialAlgebra.from_staircase(spec)
     try:
-        gens = [(tuple(int(x) for x in g["exp"]),
-                 tuple(int(x) for x in g["deg"]))
-                for g in obj["generators"]]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"bad algebra schema: {exc}") from exc
-    return MonomialAlgebra.from_generators(int(obj["r"]), int(obj["s"]),
-                                           gens)
+        s = int(obj["s"])
+        if "staircase" in obj:
+            stair = obj["staircase"]
+            spec = StaircaseSpec(s=s, lower=_rule_from_json(stair["lower"]),
+                                 upper=_rule_from_json(stair["upper"]))
+        else:
+            r = int(obj["r"])
+            gens = [(tuple(int(x) for x in g["exp"]),
+                     tuple(int(x) for x in g["deg"]))
+                    for g in obj["generators"]]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"bad algebra schema: {type(exc).__name__}: {exc}") from exc
+    if "staircase" in obj:
+        return MonomialAlgebra.from_staircase(spec)
+    return MonomialAlgebra.from_generators(r, s, gens)
 
 
 # -- polytopes ---------------------------------------------------------------

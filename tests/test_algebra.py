@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from oklab.algebra import MonomialAlgebra
+from oklab.algebra import MonomialAlgebra, ladder_report
 from oklab.errors import ValidationError
 from oklab.polytope import cone_fiber
 from oklab.semigroup import BoundRule, StaircaseSpec
@@ -233,3 +233,13 @@ def test_positivity_consistency():
         rep = a.mixed_multiplicities(d)
         positive, _ = a.positivity(d)
         assert positive == (rep.value > 0), d
+
+
+def test_ladder_report_extrapolates_disagreeing_rungs():
+    rep = ladder_report((1,), lambda p: F(p - 1, p), (1, 2),
+                        lambda value: value > 0)
+    assert rep.ladder == ((1, F(0)), (2, F(1, 2)))
+    assert rep.provenance == "extrapolated"
+    assert rep.value == 1.0 and rep.positive
+    with pytest.raises(ValidationError):
+        ladder_report((1,), lambda p: F(1), (4,), lambda value: True)

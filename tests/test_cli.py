@@ -165,10 +165,46 @@ def test_bad_input_path_exits_2(capsys):
     assert code == 2
 
 
-def test_bad_threads_exits_2(capsys):
-    code, _, _ = run(capsys, "hilbert", "--example", "segre",
-                     "--x", "1,1", "--threads", "0")
+@pytest.mark.parametrize("limit", ["abc", "0", "-5"])
+def test_bad_memory_limit_exits_2(monkeypatch, capsys, limit):
+    monkeypatch.setenv("OKLAB_MEMORY_LIMIT_MB", limit)
+    code, _, err = run(capsys, "hilbert", "--example", "segre",
+                       "--x", "1,1")
     assert code == 2
+    assert "OKLAB_MEMORY_LIMIT_MB" in err
+
+
+@pytest.mark.parametrize("payload", [
+    {"r": 1, "generators": [{"exp": [1], "deg": [1]}]},
+    {"r": "a", "s": 1, "generators": [{"exp": [1], "deg": [1]}]},
+    [{"r": 1, "s": 1}],
+    {"s": 1, "staircase": {"lower": {"kind": "linear", "forms": [["0"]]}}},
+], ids=["missing-s", "bad-r", "top-level-list", "staircase-no-upper"])
+def test_malformed_algebra_exits_2(tmp_path, capsys, payload):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "hilbert", "--input", str(path), "--x", "1")
+    assert code == 2
+    assert "Traceback" not in err
+
+
+def test_single_rung_mixed_mult_exits_2(capsys):
+    code, _, err = run(capsys, "mixed-mult", "--example", "segre",
+                       "--type", "1,1", "--pschedule", "3")
+    assert code == 2
+    assert "two rungs" in err
+
+
+def test_single_rung_ideal_family_exits_2(tmp_path, capsys):
+    m = maximal_ideal(2)
+    payload = {"I": family_to_json(PowersFamily(m)),
+               "J": [family_to_json(PowersFamily(m))]}
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "ideal-family", "--input", str(path),
+                       "--type", "1,0", "--pschedule", "3")
+    assert code == 2
+    assert "two rungs" in err
 
 
 def test_unknown_preset_listed():

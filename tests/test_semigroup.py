@@ -5,7 +5,8 @@ import pytest
 
 from oklab.errors import (EmptyTruncationError, UnsupportedSemigroupError,
                           ValidationError)
-from oklab.semigroup import BoundRule, GradedSemigroup, StaircaseSpec
+from oklab.semigroup import BoundRule, GradedSemigroup, StaircaseSpec, \
+    tail_fit
 
 F = Fraction
 
@@ -217,3 +218,10 @@ def test_generator_validation():
         GradedSemigroup.from_generators(1, 1, [((0,), (0,))])
     with pytest.raises(ValidationError):
         GradedSemigroup.from_generators(1, 2, [((0,), (1,))])
+
+
+def test_tail_fit_recovers_the_leading_coefficient():
+    ks = list(range(10, 21))
+    assert tail_fit(ks, [3 * k * k + 5 * k for k in ks], 2) == \
+        pytest.approx(3.0)
+    assert tail_fit(ks, [7] * len(ks), 0) == 7.0
