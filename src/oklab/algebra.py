@@ -188,14 +188,14 @@ class MonomialAlgebra:
         vol = integral_volume(fiber, lattice)
         return FiberVolume(vol / inv["ind"], "fiber")
 
-    def volume_fn_count(self, n, n_max=500, subsample=1):
+    def volume_fn_count(self, n, n_max=500):
         """Tail-fit estimate of lim dim[A]_{kn} / k^q."""
         n = tuple(int(v) for v in n)
         if any(v <= 0 for v in n):
             raise ValidationError(f"ray {n} must be positive")
         q = self.krull_dim() - self.s
         ray = self.semigroup.veronese_ray(n)
-        counts = ray.counts_upto(n_max, subsample=subsample)
+        counts = ray.counts_upto(n_max)
         ks = sorted(k for k in counts if k >= max(1, n_max // 2))
         return tail_fit(ks, [counts[k] for k in ks], q)
 

@@ -122,11 +122,12 @@ def _cmd_positivity(args):
 def _cmd_ideal_family(args):
     obj = _load_json(_require(args, "input"))
     try:
-        ifam = family_from_json(obj["I"])
-        jfams = [family_from_json(j) for j in obj["J"]]
-    except KeyError as exc:
-        raise ValidationError(
-            f"ideal-family input needs keys I and J: {exc}") from exc
+        ispec, jspecs = obj["I"], list(obj["J"])
+    except (KeyError, TypeError) as exc:
+        raise ValidationError("ideal-family input needs an object with a "
+                              f"family I and a list J: {exc!r}") from exc
+    ifam = family_from_json(ispec)
+    jfams = [family_from_json(j) for j in jspecs]
     dtype = _parse_vector(_require(args, "type"), int)
     report = family_mixed_multiplicities(
         ifam, jfams, dtype, p_schedule=args.pschedule)
@@ -138,10 +139,11 @@ def _cmd_ideal_family(args):
 def _cmd_mixed_volume(args):
     obj = _load_json(_require(args, "input"))
     try:
-        bodies = [polytope_from_json(b) for b in obj["bodies"]]
-    except KeyError as exc:
-        raise ValidationError(
-            "mixed-volume input needs a bodies list") from exc
+        specs = list(obj["bodies"])
+    except (KeyError, TypeError) as exc:
+        raise ValidationError("mixed-volume input needs an object with a "
+                              f"bodies list: {exc!r}") from exc
+    bodies = [polytope_from_json(b) for b in specs]
     dtype = _parse_vector(_require(args, "type"), int)
     out = mixed_volume_via_ideals(bodies, dtype,
                                   p_schedule=args.pschedule)

@@ -171,23 +171,25 @@ def quotient_dim_by_mpower(num, c):
     d = num.num_vars
     maxcoord = max(max(g) for g in num.min_gens)
     side = maxcoord + c + 1
-    if side ** d * 4 > memory_limit_bytes():
+    # One int32 grid and one bool temporary at a time: 5 bytes a point.
+    if side ** d * 5 > memory_limit_bytes():
         raise ResourceLimitError(
             f"quotient grid {side}^{d} exceeds the memory guard")
     shape = (side,) * d
     inf = np.iinfo(np.int32).max // 2
-    mindeg = np.full(shape, inf, dtype=np.int32)
+    gap = np.full(shape, inf, dtype=np.int32)
     for g in num.min_gens:
         t = sum(g)
-        if t < mindeg[g]:
-            mindeg[g] = t
+        if t < gap[g]:
+            gap[g] = t
     for axis in range(d):
-        np.minimum.accumulate(mindeg, axis=axis, out=mindeg)
-    total = np.zeros(shape, dtype=np.int32)
+        np.minimum.accumulate(gap, axis=axis, out=gap)
+    # gap(a) = M(a) - |a| lies in (-c, 0] exactly on the quotient; points
+    # with no generator below them stay far above 0.
+    idx = np.arange(side, dtype=np.int32)
     for axis in range(d):
-        idx = np.arange(side, dtype=np.int32)
-        total += idx.reshape((-1,) + (1,) * (d - 1 - axis))
-    return int(np.count_nonzero((mindeg < inf) & (total - mindeg < c)))
+        gap -= idx.reshape((-1,) + (1,) * (d - 1 - axis))
+    return int(np.count_nonzero(gap > -c)) - int(np.count_nonzero(gap > 0))
 
 
 def _as_m_power(ideal):

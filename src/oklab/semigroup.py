@@ -2,15 +2,19 @@
 
 Three kinds of sources are supported: finite generator lists, staircase
 rules (r = 1, closed-form per-degree intervals), and Veronese rays of a
-parent semigroup.  Enumeration of graded pieces is a degree-indexed
-dynamic program; for singly graded generator sources the asymptotic
-counting runs on big-integer bitsets in lattice coordinates, which is
-what makes the limit checks at n_max = 500 affordable.
+parent semigroup.  Graded pieces as point sets come from a
+degree-indexed dynamic program over frozensets.  Piece counts of
+generator sources, in any multidegree and along Veronese rays, come
+from one dynamic program on big-integer bitsets in lattice coordinates,
+which is what makes the limit checks at n_max = 500 affordable;
+staircase counts are closed forms.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,8 +23,8 @@ import numpy as np
 from .errors import (EmptyTruncationError, ResourceLimitError,
                      UnsupportedSemigroupError, ValidationError,
                      memory_limit_bytes)
-from .lattice import group_generated, integer_kernel, subgroup_index, \
-    vanishing_forms
+from .lattice import echelon, group_generated, integer_kernel, \
+    subgroup_index, vanishing_forms
 from .lp import cone_is_pointed
 from .polytope import Polytope, convex_hull, integral_volume
 
@@ -155,6 +159,8 @@ class GradedSemigroup:
         self.empirical = empirical
         self._piece_memo = {(0,) * s: frozenset({(0,) * r})}
         self._memo_points = 1
+        # Piece counts over the box [0, top], grown on demand by doubling.
+        self._counts = np.ones((1,) * s, dtype=np.int64)
         self._inv_cache = None
 
     # -- construction helpers ------------------------------------------------
@@ -202,11 +208,15 @@ class GradedSemigroup:
 
     # -- graded pieces -------------------------------------------------------
 
-    def graded_piece(self, n):
-        """Exact set of valuation parts at degree vector n."""
+    def _degree(self, n):
         n = tuple(int(x) for x in n)
         if len(n) != self.s or any(x < 0 for x in n):
             raise ValidationError(f"degree {n} must be in N^{self.s}")
+        return n
+
+    def graded_piece(self, n):
+        """Exact set of valuation parts at degree vector n."""
+        n = self._degree(n)
         if isinstance(self.source, StaircaseSpec):
             lo, up = self.source.bounds(n)
             return frozenset((j,) for j in range(lo, up + 1))
@@ -220,9 +230,9 @@ class GradedSemigroup:
         if n in memo:
             return memo[n]
         limit = 8 * memory_limit_bytes() // (64 * max(self.r, 1))
-        # Bottom-up over the divisibility box, cheapest degrees first.
-        pending = sorted(self._reachable_degrees(n), key=sum)
-        for deg in pending:
+        # Bottom-up over the box [0, n] in lexicographic order, which puts
+        # every predecessor deg - gdeg first.
+        for deg in itertools.product(*(range(x + 1) for x in n)):
             if deg in memo:
                 continue
             acc = set()
@@ -240,98 +250,90 @@ class GradedSemigroup:
                 raise ResourceLimitError(
                     f"piece enumeration exceeded the memory guard at {deg}",
                     degree=deg)
-        # Degrees no N-combination of generators reaches have empty pieces.
-        return memo.setdefault(n, frozenset())
+        return memo[n]
 
-    def _reachable_degrees(self, n):
-        """Degrees <= n reachable as N-combinations of generator degrees."""
-        seen = {(0,) * self.s}
-        frontier = [(0,) * self.s]
-        degs = [deg for _, deg in self.generators]
-        while frontier:
-            cur = frontier.pop()
-            for d in degs:
-                nxt = tuple(a + b for a, b in zip(cur, d))
-                if nxt not in seen and all(a <= b for a, b in zip(nxt, n)):
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return seen
+    # -- counting ------------------------------------------------------------
 
     def piece_size(self, n):
-        n = tuple(int(x) for x in n)
+        """#[S]_n; exact."""
+        n = self._degree(n)
         if isinstance(self.source, StaircaseSpec):
             lo, up = self.source.bounds(n)
             return max(0, up - lo + 1)
-        return len(self.graded_piece(n))
+        if isinstance(self.source, VeroneseRay):
+            return self.source.parent.piece_size(
+                tuple(n[0] * k for k in self.source.ray))
+        shape = self._counts.shape
+        if any(a >= b for a, b in zip(n, shape)):
+            self._counts = self._count_box(
+                tuple(max(a, 2 * (b - 1)) for a, b in zip(n, shape)))
+        return int(self._counts[n])
 
-    # -- fast counting along the grading (s = 1) -----------------------------
-
-    def counts_upto(self, n_max, subsample=1):
+    def counts_upto(self, n_max):
         """{n: #[S]_n} for n <= n_max; exact.  Singly graded only."""
         if self.s != 1:
             raise UnsupportedSemigroupError("counts_upto needs s = 1")
-        if isinstance(self.source, StaircaseSpec):
-            return {n: self.piece_size((n,)) for n in range(n_max + 1)}
-        if isinstance(self.source, VeroneseRay):
-            return self._ray_counts(n_max, subsample)
-        return self._bitset_counts(n_max)
+        self.piece_size((n_max,))  # sizes the counting box once
+        return {n: self.piece_size((n,)) for n in range(n_max + 1)}
 
-    def _bitset_counts(self, n_max):
+    def _count_box(self, top):
+        """#[S]_n for every degree n in the box [0, top], as an int array.
+
+        A point of S is fixed by its coordinates in the lattice G its
+        generators span.  The coordinates that the degree determines
+        (pivots of the degree block) drop out; the others, offset by
+        |n| * base so they stay in [0, width), index the bits of one big
+        integer per degree.  The DP runs over the box in lexicographic
+        order and keeps only the slab of degrees within the largest
+        first-axis generator degree.  The memory guard is checked from
+        that window's bit size before anything is allocated.
+        """
         gens = self.generators
         vecs = [val + deg for val, deg in gens]
-        lat = group_generated(vecs)
-        coords = [lat.coordinates(v) for v in vecs]
-        k = lat.rank
-        degs = [deg[0] for _, deg in gens]
-        if k == 1:
-            # Numerical-semigroup reachability: one point per degree.
-            reach = [False] * (n_max + 1)
-            reach[0] = True
-            for n in range(1, n_max + 1):
-                reach[n] = any(d <= n and reach[n - d] for d in degs)
-            return {n: int(reach[n]) for n in range(n_max + 1)}
-        # Project out one lattice coordinate determined by the degree.
-        f = [b[-1] for b in lat.basis]
-        j0 = next(j for j, x in enumerate(f) if x)
-        proj = [tuple(c[j] for j in range(k) if j != j0) for c in coords]
-        dims = k - 1
-        lo_ratio = [min(Fraction(p[t], d) for p, d in zip(proj, degs))
-                    for t in range(dims)]
-        hi_ratio = [max(Fraction(p[t], d) for p, d in zip(proj, degs))
-                    for t in range(dims)]
-        base = [_floor_frac(x) for x in lo_ratio]
-        widths = [int(_floor_frac(n_max * (h - b))) + 1
-                  for h, b in zip(hi_ratio, base)]
-        if math.prod(widths) * min(len(degs), 4) > 8 * memory_limit_bytes():
+        lat = group_generated(vecs, self.r + self.s)
+        pivots = echelon([[b[self.r + i] for b in lat.basis]
+                          for i in range(self.s)])[1]
+        free = [j for j in range(lat.rank) if j not in pivots]
+        coords = [[c[j] for j in free]
+                  for c in map(lat.coordinates, vecs)]
+        totals = [sum(deg) for _, deg in gens]
+        base, widths = [], []
+        for t in range(len(free)):
+            slopes = [Fraction(c[t], d) for c, d in zip(coords, totals)]
+            base.append(math.floor(min(slopes)))
+            widths.append(math.floor(sum(top) * (max(slopes) - base[t])) + 1)
+        strides = [math.prod(widths[t + 1:]) for t in range(len(free))]
+        shifts = [sum((x - d * b) * st for x, b, st in zip(c, base, strides))
+                  for c, d in zip(coords, totals)]
+        reach0 = max((deg[0] for _, deg in gens), default=0)
+        rest = [range(t + 1) for t in top[1:]]
+        slab_size = math.prod(len(r) for r in rest)
+        # The window's bitsets plus the shifted temporary, and the counts.
+        window_bits = ((reach0 + 1) * slab_size + 1) * math.prod(widths)
+        if window_bits // 8 + 8 * (top[0] + 1) * slab_size > \
+                memory_limit_bytes():
             raise ResourceLimitError(
-                "bitset counting exceeds the memory guard", degree=n_max)
-        strides = [1] * dims
-        for t in range(dims - 2, -1, -1):
-            strides[t] = strides[t + 1] * widths[t + 1]
-        shifts = [sum((p[t] - d * base[t]) * strides[t] for t in range(dims))
-                  for p, d in zip(proj, degs)]
-        maxd = max(degs)
-        window = {0: 1}
-        counts = {0: 1}
-        for n in range(1, n_max + 1):
-            acc = 0
-            for d, sh in zip(degs, shifts):
-                prev = window.get(n - d)
-                if prev:
-                    acc |= prev << sh
-            window[n] = acc
-            counts[n] = acc.bit_count()
-            window.pop(n - maxd, None)
-        return counts
-
-    def _ray_counts(self, n_max, subsample):
-        parent, ray = self.source.parent, self.source.ray
-        if isinstance(parent.source, StaircaseSpec):
-            return {n: parent.piece_size(tuple(n * x for x in ray))
-                    for n in range(n_max + 1)}
-        counts = {}
-        for n in range(0, n_max + 1, subsample):
-            counts[n] = _count_ray_piece(parent, ray, n)
+                f"piece counting up to {top} exceeds the memory guard",
+                degree=top)
+        counts = np.zeros([t + 1 for t in top], dtype=np.int64)
+        flat = counts.reshape(-1)  # a view, in lexicographic order
+        window = {}
+        k = 0
+        for i in range(top[0] + 1):
+            window.pop(i - reach0 - 1, None)
+            slab = window[i] = {}
+            steps = [(window[i - deg[0]], deg[1:], sh)
+                     for (_, deg), sh in zip(gens, shifts)
+                     if i - deg[0] in window]
+            for n in itertools.product(*rest):
+                bits = 0 if k else 1  # degree 0 holds the empty sum
+                for below, d, sh in steps:
+                    prev = below.get(tuple(map(operator.sub, n, d)))
+                    if prev:
+                        bits |= prev << sh
+                slab[n] = bits
+                flat[k] = bits.bit_count()
+                k += 1
         return counts
 
     # -- invariants and bodies -----------------------------------------------
@@ -429,35 +431,3 @@ class GradedSemigroup:
             raise EmptyTruncationError(f"piece at {p} is empty")
         return GradedSemigroup.from_generators(
             self.r, self.s, [(v, p) for v in sorted(piece)])
-
-
-def _count_ray_piece(parent, ray, n):
-    """#[parent]_{n * ray} for a generator-presented parent; exact."""
-    target = tuple(n * x for x in ray)
-    gens = parent.generators
-    g = len(gens)
-    vals = [np.array(v, dtype=object) for v, _ in gens]
-    degs = [d for _, d in gens]
-    seen = set()
-
-    def rec(i, residual, acc):
-        if i == g - 1:
-            d = degs[i]
-            ks = {residual[j] // d[j] for j in range(len(d)) if d[j]}
-            if len(ks) != 1:
-                return
-            k = ks.pop()
-            if k < 0 or any(residual[j] != k * d[j] for j in range(len(d))):
-                return
-            seen.add(tuple(acc + k * vals[i]))
-            return
-        d = degs[i]
-        cap = min(residual[j] // d[j] for j in range(len(d)) if d[j])
-        for k in range(cap + 1):
-            rec(i + 1, tuple(r - k * dj for r, dj in zip(residual, d)),
-                acc + k * vals[i])
-
-    if g == 0:
-        return 1 if not any(target) else 0
-    rec(0, target, np.zeros(parent.r, dtype=object))
-    return len(seen)

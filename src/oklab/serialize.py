@@ -39,6 +39,14 @@ def _check_version(obj):
         raise ValidationError(f"unsupported schema_version {v}")
 
 
+# What indexing and int()/Fraction() raise on a value of the wrong shape.
+_SCHEMA_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
+
+
+def _schema_error(what, exc):
+    return ValidationError(f"bad {what} schema: {type(exc).__name__}: {exc}")
+
+
 # -- staircase rules ---------------------------------------------------------
 
 def _rule_to_json(rule):
@@ -90,9 +98,8 @@ def algebra_from_json(obj):
             gens = [(tuple(int(x) for x in g["exp"]),
                      tuple(int(x) for x in g["deg"]))
                     for g in obj["generators"]]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(
-            f"bad algebra schema: {type(exc).__name__}: {exc}") from exc
+    except _SCHEMA_ERRORS as exc:
+        raise _schema_error("algebra", exc) from exc
     if "staircase" in obj:
         return MonomialAlgebra.from_staircase(spec)
     return MonomialAlgebra.from_generators(r, s, gens)
@@ -108,7 +115,10 @@ def polytope_to_json(poly):
 
 def polytope_from_json(obj):
     _check_version(obj)
-    verts = [tuple(str_to_frac(x) for x in v) for v in obj["vertices"]]
+    try:
+        verts = [tuple(str_to_frac(x) for x in v) for v in obj["vertices"]]
+    except _SCHEMA_ERRORS as exc:
+        raise _schema_error("polytope", exc) from exc
     if not verts:
         raise ValidationError("polytope needs at least one vertex")
     return convex_hull(verts)
@@ -122,11 +132,18 @@ def ideal_to_json(ideal):
                       "gens": [list(g) for g in ideal.min_gens]}}
 
 
+def _ideal_fields(body):
+    """(vars, gens) of an ideal object; raises one of _SCHEMA_ERRORS."""
+    return int(body["vars"]), [tuple(int(x) for x in g) for g in body["gens"]]
+
+
 def ideal_from_json(obj):
     _check_version(obj)
-    body = obj["ideal"]
-    return monomial_ideal(int(body["vars"]),
-                          [tuple(int(x) for x in g) for g in body["gens"]])
+    try:
+        fields = _ideal_fields(obj["ideal"])
+    except _SCHEMA_ERRORS as exc:
+        raise _schema_error("ideal", exc) from exc
+    return monomial_ideal(*fields)
 
 
 def family_to_json(family):
@@ -147,22 +164,25 @@ def family_to_json(family):
 
 def family_from_json(obj):
     _check_version(obj)
-    body = obj["family"]
-    if "powers" in body:
-        base = body["powers"]
-        return PowersFamily(monomial_ideal(
-            int(base["vars"]),
-            [tuple(int(x) for x in g) for g in base["gens"]]))
-    if "from_body" in body:
-        spec = body["from_body"]
-        poly = polytope_from_json({"vertices": spec["vertices"]})
-        return body_to_family(poly, int(spec["h"]))
-    if "explicit" in body:
-        ideals = [monomial_ideal(int(i["vars"]),
-                                 [tuple(int(x) for x in g)
-                                  for g in i["gens"]])
-                  for i in body["explicit"]]
-        return ExplicitFamily(ideals).check()
+    try:
+        body = obj["family"]
+        kind = next((k for k in ("powers", "from_body", "explicit")
+                     if k in body), None)
+        if kind == "powers":
+            ideals = [_ideal_fields(body["powers"])]
+        elif kind == "explicit":
+            ideals = [_ideal_fields(i) for i in body["explicit"]]
+        elif kind == "from_body":
+            vertices = body["from_body"]["vertices"]
+            h = int(body["from_body"]["h"])
+    except _SCHEMA_ERRORS as exc:
+        raise _schema_error("family", exc) from exc
+    if kind == "powers":
+        return PowersFamily(monomial_ideal(*ideals[0]))
+    if kind == "explicit":
+        return ExplicitFamily([monomial_ideal(*f) for f in ideals]).check()
+    if kind == "from_body":
+        return body_to_family(polytope_from_json({"vertices": vertices}), h)
     raise ValidationError("family schema needs powers, from_body, or "
                           "explicit")
 

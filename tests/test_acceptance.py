@@ -46,13 +46,13 @@ def test_nonpolyhedral_staircase_suite():
     for k in (1, 2, 5, 20, 100, 200):
         assert ray.piece_size((k,)) == 4 * k + 1, k
 
-    counts = ray.counts_upto(200, subsample=8)
+    counts = ray.counts_upto(200)
     ns = sorted(counts)
     est = counts[ns[-1]] / ns[-1]
     assert abs(est - 4) <= 0.05
 
     diag = sg.veronese_ray((1, 1))
-    dcounts = diag.counts_upto(200, subsample=8)
+    dcounts = diag.counts_upto(200)
     dn = sorted(dcounts)
     dest = dcounts[dn[-1]] / dn[-1]
     target = 4 - 2 * math.sqrt(2)  # 2(x1+x2) - 2*sqrt(x1^2+x2^2) at (1,1)

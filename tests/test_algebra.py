@@ -106,7 +106,7 @@ def test_volume_fn_count():
     a = min_algebra()
     est = a.volume_fn_count((2, 3), n_max=300)
     assert abs(est - 2) < 0.01
-    est2 = segre().volume_fn_count((1, 1), n_max=120, subsample=4)
+    est2 = segre().volume_fn_count((1, 1), n_max=120)
     assert abs(est2 - 1) < 0.02
 
 

@@ -188,6 +188,47 @@ def test_malformed_algebra_exits_2(tmp_path, capsys, payload):
     assert "Traceback" not in err
 
 
+POWERS_BAD_VARS = {"family": {"powers": {"vars": "a", "gens": [[1]]}}}
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("ideal-family", {"I": POWERS_BAD_VARS, "J": [POWERS_BAD_VARS]}),
+    ("ideal-family", [POWERS_BAD_VARS]),
+    ("ideal-family", {"I": POWERS_BAD_VARS, "J": 5}),
+    ("ideal-family", {"I": {"family": {"from_body": [1]}}, "J": []}),
+    ("mixed-volume", [{"vertices": [[0], [1]]}]),
+    ("mixed-volume", {"bodies": 5}),
+    ("mixed-volume", {"bodies": [{"vertices": [[[0]]]}]}),
+], ids=["powers-bad-vars", "family-top-level-list", "J-not-a-list",
+        "from-body-list", "bodies-top-level-list", "bodies-int",
+        "vertex-list-entry"])
+def test_malformed_family_and_bodies_exit_2(tmp_path, capsys, command,
+                                            payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, command, "--input", str(path),
+                       "--type", "1")
+    assert code == 2
+    assert "Traceback" not in err
+
+
+def test_schema_readers_are_total():
+    for reader, payload in [(ideal_from_json, {"ideal": {"vars": "a"}}),
+                            (ideal_from_json, {"ideal": []}),
+                            (family_from_json, {"family": 5}),
+                            (polytope_from_json, {"vertices": None})]:
+        with pytest.raises(ValidationError):
+            reader(payload)
+
+
+def test_counting_guard_exits_3(monkeypatch, capsys):
+    monkeypatch.setenv("OKLAB_MEMORY_LIMIT_MB", "1")
+    code, _, err = run(capsys, "hilbert", "--example", "segre",
+                       "--x", "300,300")
+    assert code == 3
+    assert "memory guard" in err
+
+
 def test_single_rung_mixed_mult_exits_2(capsys):
     code, _, err = run(capsys, "mixed-mult", "--example", "segre",
                        "--type", "1,1", "--pschedule", "3")

@@ -1,8 +1,10 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from oklab.errors import UnsupportedIdealError, ValidationError
+from oklab.errors import (ResourceLimitError, UnsupportedIdealError,
+                          ValidationError)
 from oklab.ideals import (BodyFamily, ExplicitFamily, PowersFamily,
                           analytic_spread, bhattacharya_limit,
                           body_to_family, family_mixed_multiplicities,
@@ -81,6 +83,21 @@ def test_quotient_dim_by_mpower_matches_generic():
     for c in (1, 3, 5):
         assert quotient_dim_by_mpower(num, c) == \
             quotient_dim(num, product(power(m, c), num)), c
+
+
+def test_quotient_grid_guard_counts_what_it_holds(monkeypatch):
+    monkeypatch.setenv("OKLAB_MEMORY_LIMIT_MB", "4")
+    unit = monomial_ideal(2, [(0, 0)])
+    with pytest.raises(ResourceLimitError):
+        quotient_dim_by_mpower(unit, 1020)  # m^1020: 1021^2 grid points
+    # The largest power the guard admits stays within the limit.
+    tracemalloc.start()
+    try:
+        assert quotient_dim_by_mpower(unit, 913) == 913 * 914 // 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 1024 * 1024
 
 
 def test_bhattacharya_limits():

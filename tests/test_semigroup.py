@@ -1,10 +1,14 @@
+import itertools
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from oklab.errors import (EmptyTruncationError, UnsupportedSemigroupError,
-                          ValidationError)
+from oklab.errors import (EmptyTruncationError, ResourceLimitError,
+                          UnsupportedSemigroupError, ValidationError)
 from oklab.semigroup import BoundRule, GradedSemigroup, StaircaseSpec, \
     tail_fit
 
@@ -225,3 +229,86 @@ def test_tail_fit_recovers_the_leading_coefficient():
     assert tail_fit(ks, [3 * k * k + 5 * k for k in ks], 2) == \
         pytest.approx(3.0)
     assert tail_fit(ks, [7] * len(ks), 0) == 7.0
+
+
+# -- counting engine against brute force ------------------------------------
+
+def brute_force_pieces(r, s, gens, top):
+    """{n: set of valuations} over all N-combinations of degree <= top."""
+    pieces = {}
+
+    def extend(i, val, deg):
+        if i == len(gens):
+            pieces.setdefault(deg, set()).add(val)
+            return
+        gval, gdeg = gens[i]
+        while all(x <= t for x, t in zip(deg, top)):
+            extend(i + 1, val, deg)
+            val = tuple(a + b for a, b in zip(val, gval))
+            deg = tuple(a + b for a, b in zip(deg, gdeg))
+
+    extend(0, (0,) * r, (0,) * s)
+    return pieces
+
+
+@st.composite
+def generator_sets(draw):
+    r = draw(st.integers(0, 3))
+    s = draw(st.integers(1, 3))
+    deg = st.tuples(*[st.integers(0, 2)] * s).filter(any)
+    val = st.tuples(*[st.integers(-1, 2)] * r)
+    gens = draw(st.lists(st.tuples(val, deg), min_size=1, max_size=5))
+    return r, s, gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets(), st.randoms(use_true_random=False))
+# Collides if the bit widths are sized by max(top) instead of |top|.
+@example((3, 2, [((0, -1, 2), (1, 2)), ((-1, 0, 2), (2, 0)),
+                 ((-1, 0, 0), (0, 1)), ((0, 1, 2), (1, 1))]),
+         random.Random(0))
+def test_piece_counts_match_brute_force(presented, rnd):
+    r, s, gens = presented
+    top = (3,) * s if s < 3 else (2,) * s
+    oracle = brute_force_pieces(r, s, gens, top)
+    points = GradedSemigroup.from_generators(r, s, gens)
+    # One counting box sized exactly to top; one that grows by doubling
+    # as shuffled requests fall outside it.
+    exact = GradedSemigroup.from_generators(r, s, gens)
+    exact.piece_size(top)
+    grown = GradedSemigroup.from_generators(r, s, gens)
+    degrees = list(itertools.product(*[range(t + 1) for t in top]))
+    rnd.shuffle(degrees)
+    for n in degrees:
+        want = len(oracle.get(n, ()))
+        assert exact.piece_size(n) == grown.piece_size(n) == want, n
+        assert len(points.graded_piece(n)) == want, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_sets(), st.data())
+def test_ray_counts_match_parent_pieces(presented, data):
+    r, s, gens = presented
+    ray = data.draw(st.tuples(*[st.integers(1, 2)] * s))
+    n_max = 3 if s < 3 else 2
+    parent = GradedSemigroup.from_generators(r, s, gens)
+    counts = parent.veronese_ray(ray).counts_upto(n_max)
+    assert sorted(counts) == list(range(n_max + 1))
+    for k, count in counts.items():
+        assert count == len(parent.graded_piece(tuple(k * x for x in ray)))
+
+
+def test_counting_guard_fires_before_allocation(monkeypatch):
+    monkeypatch.setenv("OKLAB_MEMORY_LIMIT_MB", "1")
+    segre = GradedSemigroup.from_generators(
+        4, 2, [((1, 0, 0, 0), (1, 0)), ((0, 1, 0, 0), (1, 0)),
+               ((0, 0, 1, 0), (0, 1)), ((0, 0, 0, 1), (0, 1))])
+    assert segre.piece_size((20, 20)) == 21 * 21
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            segre.piece_size((300, 300))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
