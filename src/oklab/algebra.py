@@ -10,6 +10,7 @@ Fujita-style ladder over degree-p subalgebras.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -351,30 +352,32 @@ def _stable_fit(fn, s, q, n0=None, cap=512):
     Fits the full polynomial of total degree <= q in s variables on the
     grid N0*(1,..,1) + {m : |m| <= q}, verifies it on the two next
     shells, then doubles N0; two consecutive agreeing verified fits are
-    accepted.  Raises RegularityNotReachedError past the cap.
+    accepted.  Raises RegularityNotReachedError past the cap.  fn takes
+    integer points and is called once per point; the coefficients are
+    Fractions.
     """
     exps = [m for t in range(q + 1) for m in compositions(t, s)]
     n0 = n0 if n0 is not None else q + 1
+    value = functools.cache(fn)
     prev = None
     fits = []
     while n0 <= cap:
         grid = [tuple(n0 + m[i] for i in range(s)) for m in exps]
         rows = [[_monomial(p, e) for e in exps] for p in grid]
-        rhs = [Fraction(fn(p)) for p in grid]
-        coeffs = dict(zip(exps, _solve_square(rows, rhs)))
-        poly = MultidegreePolynomial(num_vars=s, degree=q, coeffs={
-            e: c for e, c in coeffs.items() if c})
+        coeffs = _solve_square(rows, [value(p) for p in grid])
+        coeffs = {e: c for e, c in zip(exps, coeffs) if c}
         held_out = [tuple(n0 + m[i] for i in range(s))
                     for t in (q + 1, q + 2) for m in compositions(t, s)]
-        ok = all(poly.evaluate(p) == fn(p) for p in held_out)
-        fits.append((n0, poly.coeffs))
-        if ok and prev is not None and prev == poly.coeffs:
-            return poly
-        prev = poly.coeffs if ok else None
+        ok = all(sum(c * _monomial(p, e) for e, c in coeffs.items())
+                 == value(p) for p in held_out)
+        fits.append((n0, coeffs))
+        if ok and prev is not None and prev == coeffs:
+            return MultidegreePolynomial(num_vars=s, degree=q, coeffs=coeffs)
+        prev = coeffs if ok else None
         n0 *= 2
     raise RegularityNotReachedError(
         f"Hilbert fit did not stabilize up to N0={cap}", last_fits=fits[-2:])
 
 
 def _monomial(point, exp):
-    return math.prod(Fraction(p) ** e for p, e in zip(point, exp))
+    return math.prod(p ** e for p, e in zip(point, exp))

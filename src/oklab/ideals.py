@@ -1,9 +1,13 @@
 """Graded families of monomial ideals and their mixed multiplicities.
 
-Monomial ideals are stored as generator antichains; membership and
-quotient counting run on numpy boolean grids, where the upward closure
-of a generator set is computed by an accumulated OR along each axis
-(dilation by the positive orthant is separable).  Families are power
+Monomial ideals are stored as generator antichains, but only at the API
+edge: ``product``, ``power`` and the family objects.  Colengths are
+counted on numpy boolean grids over a box that provably holds the whole
+quotient.  The upward closure of a generator set is an accumulated OR
+along each axis (dilation by the positive orthant is separable), and a
+product of ideals is that closure dilated by the other factors'
+generators, one shifted OR per generator, so the counts in
+``_bhattacharya_value`` form no product antichain.  Families are power
 families, explicit lists, or the homogenization of a convex body.
 """
 
@@ -84,10 +88,8 @@ def product(i1, i2):
     a = np.array(i1.min_gens, dtype=np.int64)
     b = np.array(i2.min_gens, dtype=np.int64)
     sums = (a[:, None, :] + b[None, :, :]).reshape(-1, i1.num_vars)
-    uniq = np.unique(sums, axis=0)
     return MonomialIdeal(i1.num_vars,
-                         _antichain([tuple(int(x) for x in row)
-                                     for row in uniq]))
+                         _antichain(set(map(tuple, sums.tolist()))))
 
 
 def power(ideal, n):
@@ -115,12 +117,64 @@ def ideal_contains(outer, inner):
 def _closure_grid(gens, shape):
     """Indicator of the upward closure of ``gens`` on the given box."""
     grid = np.zeros(shape, dtype=bool)
-    for g in gens:
-        if all(x < s for x, s in zip(g, shape)):
-            grid[g] = True
+    pts = np.array(gens, dtype=np.int64).reshape(-1, len(shape))
+    grid[tuple(pts[(pts < shape).all(axis=1)].T)] = True
     for axis in range(len(shape)):
         np.logical_or.accumulate(grid, axis=axis, out=grid)
     return grid
+
+
+def _dilate(grid, gens):
+    """Indicator of grid + gens, the product with the ideal (gens), on
+    the same box.
+
+    One shifted in-place OR per generator.  Truncating to the box is
+    exact: a box point a lies in grid + g iff a - g does, and a - g <= a
+    lies in the box too.
+    """
+    out = np.zeros_like(grid)
+    for g in gens:
+        if all(x < s for x, s in zip(g, grid.shape)):
+            view = out[tuple(slice(x, None) for x in g)]
+            view |= grid[tuple(slice(0, s - x)
+                               for x, s in zip(g, grid.shape))]
+    return out
+
+
+def _add_coordinate_sum(grid, sign):
+    """grid[a] += sign * |a| at every box point a, in place."""
+    for axis, side in enumerate(grid.shape):
+        idx = np.arange(0, sign * side, sign, dtype=grid.dtype)
+        grid += idx.reshape((-1,) + (1,) * (grid.ndim - 1 - axis))
+
+
+def _mpower_colength(gap, c):
+    """#(num / m^c * num) on a box that holds the quotient.
+
+    ``gap`` is an int32 grid, 0 at points of num that include its
+    generators and _FAR elsewhere; it is overwritten.  A monomial a lies
+    in m^c * num iff some b <= a in num has |a| - |b| >= c, so the count
+    only needs, per box point a, the minimum total degree M(a) over
+    those b.  M is a min-plus dilation by the positive orthant, computed
+    separably with one accumulated minimum per axis.  The grid and one
+    bool temporary are held at a time: 5 bytes a point.
+    """
+    _add_coordinate_sum(gap, 1)
+    for axis in range(gap.ndim):
+        np.minimum.accumulate(gap, axis=axis, out=gap)
+    # gap(a) = M(a) - |a| lies in (-c, 0] exactly on the quotient; points
+    # with nothing of num below them stay far above 0.
+    _add_coordinate_sum(gap, -1)
+    return int(np.count_nonzero(gap > -c)) - int(np.count_nonzero(gap > 0))
+
+
+_FAR = np.iinfo(np.int32).max // 2
+
+
+def _guard_grid(shape, bytes_per_point, what="quotient grid"):
+    if math.prod(shape) * bytes_per_point > memory_limit_bytes():
+        raise ResourceLimitError(
+            f"{what} {'x'.join(map(str, shape))} exceeds the memory guard")
 
 
 def quotient_dim(num, den, c_cap=4096):
@@ -129,6 +183,8 @@ def quotient_dim(num, den, c_cap=4096):
     Requires den <= num and a cofinality certificate: a power c with
     m^c * num contained in den, so the count is finite and the
     enumeration box [0, maxcoord(num) + c]^d is provably complete.
+    Since den <= num the count is #num - #den on the box, one grid at a
+    time.
     """
     d = num.num_vars
     if den.num_vars != d:
@@ -137,6 +193,9 @@ def quotient_dim(num, den, c_cap=4096):
         raise ValidationError("denominator is not contained in numerator")
     if num.is_zero:
         return 0
+    if den.is_zero:
+        raise ValidationError("the zero denominator leaves the quotient "
+                              "infinite-dimensional")
     c = 1
     while c <= c_cap:
         if _mpower_times_contained(num, den, c):
@@ -147,49 +206,26 @@ def quotient_dim(num, den, c_cap=4096):
             f"no cofinality certificate m^c*num <= den up to c={c_cap}; "
             "the quotient is not finite-dimensional")
     maxcoord = max(max(g) for g in num.min_gens)
-    side = maxcoord + c + 1
-    if side ** d > memory_limit_bytes():
-        raise ResourceLimitError(
-            f"quotient grid {side}^{d} exceeds the memory guard")
-    shape = (side,) * d
-    grid_num = _closure_grid(num.min_gens, shape)
-    grid_den = _closure_grid(den.min_gens, shape)
-    return int(np.count_nonzero(grid_num & ~grid_den))
+    shape = (maxcoord + c + 1,) * d
+    _guard_grid(shape, 1)
+    return _closure_count(num, shape) - _closure_count(den, shape)
+
+
+def _closure_count(ideal, shape):
+    return int(np.count_nonzero(_closure_grid(ideal.min_gens, shape)))
 
 
 def quotient_dim_by_mpower(num, c):
-    """dim_k of (num / m^c * num); exact, without materializing m^c*num.
-
-    A monomial a lies in m^c * num iff some generator g <= a has
-    |a| - |g| >= c, so the count only needs, per box point a, the
-    minimum total degree M(a) of a generator below a.  M is a min-plus
-    dilation by the positive orthant, computed separably with one
-    accumulated minimum per axis.
-    """
+    """dim_k of (num / m^c * num); exact, without materializing m^c*num."""
     if num.is_zero or c <= 0:
         return 0
     d = num.num_vars
     maxcoord = max(max(g) for g in num.min_gens)
-    side = maxcoord + c + 1
-    # One int32 grid and one bool temporary at a time: 5 bytes a point.
-    if side ** d * 5 > memory_limit_bytes():
-        raise ResourceLimitError(
-            f"quotient grid {side}^{d} exceeds the memory guard")
-    shape = (side,) * d
-    inf = np.iinfo(np.int32).max // 2
-    gap = np.full(shape, inf, dtype=np.int32)
-    for g in num.min_gens:
-        t = sum(g)
-        if t < gap[g]:
-            gap[g] = t
-    for axis in range(d):
-        np.minimum.accumulate(gap, axis=axis, out=gap)
-    # gap(a) = M(a) - |a| lies in (-c, 0] exactly on the quotient; points
-    # with no generator below them stay far above 0.
-    idx = np.arange(side, dtype=np.int32)
-    for axis in range(d):
-        gap -= idx.reshape((-1,) + (1,) * (d - 1 - axis))
-    return int(np.count_nonzero(gap > -c)) - int(np.count_nonzero(gap > 0))
+    shape = (maxcoord + c + 1,) * d
+    _guard_grid(shape, 5)
+    gap = np.full(shape, _FAR, dtype=np.int32)
+    gap[tuple(np.array(num.min_gens).T)] = 0
+    return _mpower_colength(gap, c)
 
 
 def _as_m_power(ideal):
@@ -206,9 +242,7 @@ def _mpower_times_contained(num, den, c):
     d = num.num_vars
     maxc = max(max(g) for g in den.min_gens) + c + 1
     side = max(max(max(g) for g in num.min_gens) + c + 1, maxc)
-    if side ** d > memory_limit_bytes():
-        raise ResourceLimitError(
-            f"certificate grid {side}^{d} exceeds the memory guard")
+    _guard_grid((side,) * d, 1, "certificate grid")
     grid_den = _closure_grid(den.min_gens, (side,) * d)
     shell = compositions(c, d)
     for g in num.min_gens:
@@ -254,11 +288,22 @@ class PowersFamily(GradedIdealFamily):
     def __init__(self, base):
         super().__init__(base.num_vars, beta=base.max_gen_degree())
         self.base = base
-        self._memo = {}
+        self._memo = {0: power(base, 0), 1: base}
 
     def ideal(self, n):
+        """base^n, built from memoized smaller powers.
+
+        The largest memoized power below n is extended by the missing
+        power, so a sweep over nearby n costs about one product per new
+        n; far from every memoized power, n splits in halves.
+        """
+        if n < 0:
+            raise ValidationError("negative ideal power")
         if n not in self._memo:
-            self._memo[n] = power(self.base, n)
+            k = max(k for k in self._memo if k < n)
+            if 2 * k < n:
+                k = n // 2
+            self._memo[n] = product(self.ideal(k), self.ideal(n - k))
         return self._memo[n]
 
 
@@ -334,16 +379,59 @@ def body_to_family(body, h, check_bound=3):
 # limits and mixed multiplicities
 
 def _bhattacharya_value(ifam, jfams, point):
-    """Exact dim of J(1)_{n_1}...J(s)_{n_s} / I_{n_0} * (same)."""
+    """Exact dim of J(1)_{n_1}...J(s)_{n_s} / I_{n_0} * (same).
+
+    Counted on one boolean grid, with no product antichain.  If I_{n_0}
+    holds the pure powers x_i^{e_i}, a monomial a of num = J(1)...J(s)
+    outside I*num has a_i < g_i + e_i for every generator g <= a of num,
+    so the box with sides sum_j maxcoord_i(J(j)) + e_i holds the whole
+    quotient.  An I_{n_0} without them (not m-primary) leaves the
+    quotient infinite.
+    """
     n0, n = point[0], point[1:]
-    num = monomial_ideal(ifam.num_vars, [(0,) * ifam.num_vars])
-    for fam, ni in zip(jfams, n):
-        num = product(num, fam.ideal(ni))
-    c = _as_m_power(ifam.ideal(n0))
-    if c is not None:
-        return quotient_dim_by_mpower(num, c)
-    den = product(ifam.ideal(n0), num)
-    return quotient_dim(num, den)
+    d = ifam.num_vars
+    ideal_i = ifam.ideal(n0)
+    factors = [fam.ideal(ni) for fam, ni in zip(jfams, n)]
+    if any(j.is_zero for j in factors):
+        return 0
+    c = _as_m_power(ideal_i)
+    edge = (c,) * d if c is not None else _pure_power_exponents(ideal_i)
+    shape = list(edge)
+    for j in factors:
+        for i, top in enumerate(map(max, zip(*j.min_gens))):
+            shape[i] += top
+    shape = tuple(shape)
+    # Two bool grids while dilating, or one bool and one int32 grid.
+    _guard_grid(shape, 5)
+    num = _closure_grid(factors[0].min_gens if factors else [(0,) * d],
+                        shape)
+    for j in factors[1:]:
+        num = _dilate(num, j.min_gens)
+    if c is None:
+        return int(np.count_nonzero(num)) - \
+            int(np.count_nonzero(_dilate(num, ideal_i.min_gens)))
+    gap = np.full(shape, _FAR, dtype=np.int32)
+    np.copyto(gap, 0, where=num)
+    del num
+    return _mpower_colength(gap, c)
+
+
+def _pure_power_exponents(ideal):
+    """The least e_i with x_i^{e_i} in the ideal, per axis.
+
+    Raises ``ValidationError`` when an axis has none: the ideal is not
+    m-primary.
+    """
+    edge = []
+    for i in range(ideal.num_vars):
+        pure = [g[i] for g in ideal.min_gens
+                if not any(x for j, x in enumerate(g) if j != i)]
+        if not pure:
+            raise ValidationError(
+                f"ideal is not m-primary (it holds no power of x_{i + 1}); "
+                "the quotient is not finite-dimensional")
+        edge.append(min(pure))
+    return tuple(edge)
 
 
 def bhattacharya_limit(ifam, jfams, point, n_max=40, subsample=4):

@@ -129,7 +129,9 @@ def _check_staircase_closure(spec, bound):
             if ln > un:
                 continue
             tot = tuple(a + b for a, b in zip(m, n))
-            lt, ut = spec.bounds(tot)
+            if tot not in vals:
+                vals[tot] = spec.bounds(tot)
+            lt, ut = vals[tot]
             if lt > lm + ln or ut < um + un:
                 raise ValidationError(
                     f"staircase not closed under addition at {m} + {n}")

@@ -7,7 +7,8 @@ from oklab.serialize import (algebra_from_json, algebra_to_json,
                              family_from_json, family_to_json,
                              ideal_from_json, ideal_to_json,
                              polytope_from_json, polytope_to_json)
-from oklab.ideals import PowersFamily, maximal_ideal, body_to_family
+from oklab.ideals import (PowersFamily, maximal_ideal, monomial_ideal,
+                          body_to_family)
 from oklab.polytope import convex_hull
 from oklab.presets import preset
 from oklab.errors import ValidationError
@@ -275,3 +276,19 @@ def test_ideal_and_family_roundtrip():
     fam = body_to_family(seg, 1)
     fam2 = family_from_json(family_to_json(fam))
     assert fam2.ideal(2).min_gens == fam.ideal(2).min_gens
+
+
+@pytest.mark.parametrize("gens", [[(1, 0)], [(1, 0, 0), (0, 1, 0)]],
+                         ids=["x-in-2-vars", "x-y-in-3-vars"])
+def test_non_m_primary_ideal_family_exits_2(tmp_path, capsys, gens):
+    # No power of the last variable lies in I, so every colength is
+    # infinite; this is rejected before any grid is built.
+    d = len(gens[0])
+    payload = {"I": family_to_json(PowersFamily(monomial_ideal(d, gens))),
+               "J": [family_to_json(PowersFamily(maximal_ideal(d)))]}
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "ideal-family", "--input", str(path),
+                       "--type", f"1,{d - 2}", "--pschedule", "1,2")
+    assert code == 2
+    assert "not m-primary" in err

@@ -18,7 +18,7 @@ from oklab.lattice import det, echelon, int_det, rational_rank, solve
 from oklab.polytope import _independent_subset, _solve_square
 
 F = Fraction
-SETTINGS = settings(max_examples=150, deadline=None, database=None)
+SETTINGS = settings(max_examples=150)
 
 INTEGERS = st.integers(-4, 4)
 RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=5)

@@ -2,12 +2,13 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from oklab.errors import (ResourceLimitError, UnsupportedIdealError,
                           ValidationError)
 from oklab.ideals import (BodyFamily, ExplicitFamily, PowersFamily,
-                          analytic_spread, bhattacharya_limit,
-                          body_to_family, family_mixed_multiplicities,
+                          _bhattacharya_value, analytic_spread,
+                          bhattacharya_limit, body_to_family, family_mixed_multiplicities,
                           family_positivity,
                           fixed_ideal_mixed_multiplicities, ideal_contains,
                           maximal_ideal, mixed_volume_via_ideals,
@@ -216,3 +217,123 @@ def test_mixed_volume_via_ideals_degenerate():
     assert not out["geometric_positive"]
     assert out["geometric_certificate"] == (1, 2)
     assert not out["family_positive"]
+
+
+def test_quotient_dim_rejects_zero_denominator():
+    with pytest.raises(ValidationError):
+        quotient_dim(maximal_ideal(2), monomial_ideal(2, []))
+
+
+def test_quotient_dim_guard_counts_what_it_holds(monkeypatch):
+    monkeypatch.setenv("OKLAB_MEMORY_LIMIT_MB", "1")
+    num = monomial_ideal(2, [(900, 0)])
+    den = product(maximal_ideal(2), num)
+    # The certificate m * num <= den gives a 902^2 box, 0.78 MiB of bools;
+    # the count holds one grid at a time.
+    tracemalloc.start()
+    try:
+        assert quotient_dim(num, den) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1024 * 1024
+
+
+def test_bhattacharya_grid_guard_counts_what_it_holds(monkeypatch):
+    monkeypatch.setenv("OKLAB_MEMORY_LIMIT_MB", "1")
+    m = maximal_ideal(2)
+    ifam, jfams = PowersFamily(m), [PowersFamily(m)]
+    for n in (456, 457):  # build the antichains outside the traced region
+        jfams[0].ideal(n)
+    with pytest.raises(ResourceLimitError):
+        _bhattacharya_value(ifam, jfams, (1, 457))  # 458^2 points
+    # The largest box the guard admits (457^2 points, 5 bytes each) stays
+    # within the limit: dim m^456 / m^457 = 457.
+    tracemalloc.start()
+    try:
+        assert _bhattacharya_value(ifam, jfams, (1, 456)) == 457
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1024 * 1024
+
+
+def test_bhattacharya_rejects_non_m_primary_at_once():
+    xy = monomial_ideal(3, [(1, 0, 0), (0, 1, 0)])
+    with pytest.raises(ValidationError, match="not m-primary"):
+        _bhattacharya_value(PowersFamily(xy),
+                            [PowersFamily(maximal_ideal(3))], (4, 4))
+
+
+# -- property oracles ---------------------------------------------------------
+
+def exponents(d, hi):
+    return st.tuples(*[st.integers(0, hi)] * d)
+
+
+@st.composite
+def m_primary_ideals(draw, d):
+    """m^c, or pure powers of every variable plus a few mixed generators."""
+    if draw(st.booleans()):
+        return power(maximal_ideal(d), draw(st.integers(1, 2)))
+    pure = [tuple(e * (i == j) for j in range(d))
+            for i, e in enumerate(draw(st.lists(st.integers(1, 3),
+                                                min_size=d, max_size=d)))]
+    return monomial_ideal(d, pure + draw(st.lists(exponents(d, 2),
+                                                  max_size=3)))
+
+
+@st.composite
+def colength_cases(draw):
+    d = draw(st.sampled_from((2, 3)))
+    ideal_i = draw(m_primary_ideals(d))
+    ideals_j = draw(st.lists(
+        st.one_of(st.just(maximal_ideal(d)),
+                  st.lists(exponents(d, 2), min_size=1, max_size=3).map(
+                      lambda gens: monomial_ideal(d, gens))),
+        max_size=2))
+    hi = 4 if d == 2 else 2
+    point = draw(st.tuples(*[st.integers(0, hi)] * (1 + len(ideals_j))))
+    return ideal_i, ideals_j, point
+
+
+@settings(max_examples=150)
+@given(colength_cases())
+# The box is tight on every axis: J = R and I = m^2 put (1, 0) and (0, 1)
+# on the edge of a 2 x 2 box.
+@example((power(maximal_ideal(2), 2), [], (1,)))
+def test_bhattacharya_value_matches_antichain_reference(case):
+    ideal_i, ideals_j, point = case
+    d = ideal_i.num_vars
+    num = monomial_ideal(d, [(0,) * d])
+    for j, n in zip(ideals_j, point[1:]):
+        num = product(num, power(j, n))
+    want = quotient_dim(num, product(power(ideal_i, point[0]), num))
+    got = _bhattacharya_value(PowersFamily(ideal_i),
+                              [PowersFamily(j) for j in ideals_j], point)
+    assert got == want
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.just(d), st.lists(exponents(d, 3), max_size=4),
+    st.lists(exponents(d, 3), max_size=4))))
+def test_product_matches_brute_force(case):
+    d, gens1, gens2 = case
+    sums = {tuple(x + y for x, y in zip(g, h)) for g in gens1 for h in gens2}
+    minimal = sorted(p for p in sums
+                     if not any(q != p and all(a <= b for a, b in zip(q, p))
+                                for q in sums))
+    got = product(monomial_ideal(d, gens1), monomial_ideal(d, gens2))
+    assert got.min_gens == tuple(minimal)
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(
+    exponents(d, 2), min_size=1, max_size=3).map(
+        lambda gens: monomial_ideal(d, gens))),
+    st.lists(st.integers(0, 12), min_size=1, max_size=8))
+def test_powers_family_matches_power(base, queries):
+    fam = PowersFamily(base)
+    for n in queries:
+        assert fam.ideal(n) == power(base, n), n

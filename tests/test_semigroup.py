@@ -261,7 +261,7 @@ def generator_sets(draw):
     return r, s, gens
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(generator_sets(), st.randoms(use_true_random=False))
 # Collides if the bit widths are sized by max(top) instead of |top|.
 @example((3, 2, [((0, -1, 2), (1, 2)), ((-1, 0, 2), (2, 0)),
@@ -285,7 +285,7 @@ def test_piece_counts_match_brute_force(presented, rnd):
         assert len(points.graded_piece(n)) == want, n
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(generator_sets(), st.data())
 def test_ray_counts_match_parent_pieces(presented, data):
     r, s, gens = presented
