@@ -1,83 +1,95 @@
-"""Exact rational linear programming, just enough for geometry tests.
+"""Exact linear programming, just enough for convex hulls.
 
 A single primitive is exposed: phase-1 simplex feasibility of
-``A x = b, x >= 0`` over exact rationals (Bland's rule, so it always
-terminates).  Convex-hull extremality and cone pointedness reduce to it.
+``A x = b, x >= 0`` over the rationals (Bland's rule, so it always
+terminates); convex-hull membership reduces to it.  The tableau holds
+Python ints only.  Each row is scaled once by the lcm of its
+denominators, and negated when its right-hand side is negative.  Pivots
+are integer-preserving (Bareiss): every entry is the Fraction tableau's
+entry times the last pivot, and a pivot divides exactly by the one
+before it.  The artificial columns are not stored, since phase 1
+updates them but never reads them.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
+
+
+def _phase_one(tab):
+    """Bland's-rule phase 1 on integer rows ``a_i + [b_i]``, all b_i >= 0.
+
+    ``tab`` is pivoted in place.  Returns ``(basis, obj, d)``: the basic
+    column of each row (artificials are n..n+m-1), the phase-1 reduced
+    costs with the artificial sum last, and the last pivot d > 0.  Every
+    entry of ``tab`` and ``obj`` divided by d is the entry of the
+    Fraction tableau; the system is feasible iff ``obj[-1] == 0``.
+    """
+    m = len(tab)
+    n = len(tab[0]) - 1
+    basis = list(range(n, n + m))
+    obj = [sum(col) for col in zip(*tab)]
+    d = 1
+    while True:
+        enter = -1
+        for j in range(n):
+            if obj[j] > 0 and j not in basis:
+                enter = j
+                break
+        if enter < 0:
+            break
+        # Minimum ratio b_i / a_i,enter, cross-multiplied; ties go to the
+        # row whose basic column has the smaller index.
+        leave = -1
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                if leave < 0:
+                    leave = i
+                    continue
+                lhs = tab[i][-1] * tab[leave][enter]
+                rhs = tab[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave = i
+        if leave < 0:
+            break  # unbounded cannot happen in phase 1; defensive
+        prow = tab[leave]
+        piv = prow[enter]
+        for i in range(m):
+            if i != leave:
+                f = tab[i][enter]
+                tab[i] = [(piv * x - f * y) // d
+                          for x, y in zip(tab[i], prow)]
+        f = obj[enter]
+        obj = [(piv * x - f * y) // d for x, y in zip(obj, prow)]
+        basis[leave] = enter
+        d = piv
+    return basis, obj, d
 
 
 def feasible_nonneg(rows, rhs):
     """Is there an x >= 0 with ``rows @ x = rhs``?  Exact.
 
-    ``rows`` is a list of m equality rows of length n.
+    ``rows`` is a list of m equality rows of length n, with int or
+    ``Fraction`` entries.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [[Fraction(x) for x in r] for r in rows]
-    b = [Fraction(x) for x in rhs]
-    for i in range(m):
-        if b[i] < 0:
-            a[i] = [-x for x in a[i]]
-            b[i] = -b[i]
-    # Tableau with artificial basis; minimize the sum of artificials.
-    # Columns: n structural + m artificial + rhs.  Artificials never
-    # re-enter, so only structural reduced costs are tracked.
-    tab = [a[i] + [Fraction(int(i == j)) for j in range(m)] + [b[i]]
-           for i in range(m)]
-    basis = [n + i for i in range(m)]
-    obj = [sum(tab[i][j] for i in range(m)) for j in range(n)]
-    obj.append(sum(tab[i][-1] for i in range(m)))
-    while True:
-        # Bland's rule: smallest structural index with positive reduced cost.
-        enter = next((j for j in range(n)
-                      if j not in basis and obj[j] > 0), None)
-        if enter is None:
-            break
-        leave, best = None, None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]):
-                    leave, best = i, ratio
-        if leave is None:
-            break  # unbounded cannot happen in phase 1; defensive
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter]:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-        f = obj[enter]
-        if f:
-            obj = [x - f * tab[leave][j] for j, x in enumerate(obj[:n])] + \
-                  [obj[-1] - f * tab[leave][-1]]
-        basis[leave] = enter
-    return obj[-1] == 0
+    if not rows:
+        return True
+    tab = []
+    for row, b in zip(rows, rhs):
+        row = [*row, b]
+        den = math.lcm(*[x.denominator for x in row])
+        row = [x.numerator * (den // x.denominator) for x in row]
+        if b < 0:
+            row = [-x for x in row]
+        tab.append(row)
+    return _phase_one(tab)[1][-1] == 0
 
 
 def in_convex_hull(point, points):
     """Exact membership of ``point`` in conv(points)."""
     if not points:
         return False
-    n = len(point)
-    rows = [[Fraction(q[i]) for q in points] for i in range(n)]
-    rows.append([Fraction(1)] * len(points))
-    rhs = [Fraction(x) for x in point] + [Fraction(1)]
-    return feasible_nonneg(rows, rhs)
-
-
-def cone_is_pointed(rays):
-    """No nonzero nonnegative combination of the rays vanishes."""
-    rays = [r for r in rays if any(r)]
-    if not rays:
-        return True
-    n = len(rays[0])
-    rows = [[Fraction(r[i]) for r in rays] for i in range(n)]
-    rows.append([Fraction(1)] * len(rays))
-    rhs = [Fraction(0)] * n + [Fraction(1)]
-    return not feasible_nonneg(rows, rhs)
+    rows = [[q[i] for q in points] for i in range(len(point))]
+    rows.append([1] * len(points))
+    return feasible_nonneg(rows, [*point, 1])

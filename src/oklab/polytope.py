@@ -4,7 +4,11 @@ Rational points are tuples of ``fractions.Fraction``; cones and
 halfspace normals are integer tuples.  The double description method
 (incremental inequality insertion with the combinatorial adjacency
 test) provides both directions of the V/H conversion, which is also how
-fibers of cones and facet enumerations are obtained.  Ranks,
+fibers of cones and facet enumerations are obtained; the rays of a
+fiber are its vertices.  ``convex_hull`` scales the points to integers
+by one common denominator and runs one integer LP (``lp``) per point
+against a shrinking candidate set: a point in the hull of the other
+candidates is dropped at once, which leaves the hull unchanged.  Ranks,
 determinants and coordinates in a basis come from the fraction-free
 elimination kernel in ``lattice``.  Everything is exact; no
 floating-point anywhere in this module.
@@ -22,8 +26,23 @@ from .lattice import Sublattice, det, echelon, rational_rank, solve
 from .lp import in_convex_hull
 
 
+# Shared integral Fractions: most coordinates are small integers, and
+# every Polytope held by a caller keeps its vertices alive.
+_SMALL = {i: Fraction(i) for i in range(-256, 257)}
+
+
 def rational_vector(coords):
-    return tuple(Fraction(c) for c in coords)
+    out = []
+    for c in coords:
+        f = _SMALL.get(c)
+        out.append(Fraction(c) if f is None else f)
+    return tuple(out)
+
+
+def _affine_dim(points):
+    """Dimension of the affine hull of a nonempty list of points."""
+    p0 = points[0]
+    return rational_rank([[x - y for x, y in zip(p, p0)] for p in points[1:]])
 
 
 def _dot(a, b):
@@ -107,7 +126,7 @@ def _independent_subset(vectors):
     return [vectors[j] for j in pivots]
 
 
-@dataclass
+@dataclass(slots=True)
 class Polytope:
     """Rational polytope given by its irredundant vertex set."""
 
@@ -168,12 +187,15 @@ def convex_hull(points):
         raise DimensionMismatchError(f"mixed point dimensions {sorted(dims)}")
     points = list(dict.fromkeys(points))
     n = len(points[0])
-    p0 = points[0]
-    diffs = [tuple(x - y for x, y in zip(p, p0)) for p in points[1:]]
-    adim = rational_rank(diffs)
-    verts = [p for i, p in enumerate(points)
-             if not in_convex_hull(p, points[:i] + points[i + 1:])]
-    return Polytope(tuple(verts), n, adim)
+    den = math.lcm(*[x.denominator for p in points for x in p])
+    ints = [tuple([x.numerator * (den // x.denominator) for x in p])
+            for p in points]
+    keep = list(range(len(ints)))
+    for i in range(len(ints)):
+        others = [ints[j] for j in keep if j != i]
+        if in_convex_hull(ints[i], others):
+            keep.remove(i)
+    return Polytope(tuple([points[j] for j in keep]), n, _affine_dim(ints))
 
 
 def _polytope_hrep(poly):
@@ -277,7 +299,8 @@ def cone_fiber(cone, split, x):
             raise ValidationError("fiber is unbounded (recession ray)")
     if not verts:
         return empty_polytope(r)
-    return convex_hull(verts)
+    # Distinct primitive rays of a pointed cone: already the vertices.
+    return Polytope(tuple(verts), r, _affine_dim(verts))
 
 
 def _facets_local(coords):

@@ -25,7 +25,6 @@ from .errors import (EmptyTruncationError, ResourceLimitError,
                      memory_limit_bytes)
 from .lattice import echelon, group_generated, integer_kernel, \
     subgroup_index, vanishing_forms
-from .lp import cone_is_pointed
 from .polytope import Polytope, convex_hull, integral_volume
 
 
@@ -388,7 +387,10 @@ class GradedSemigroup:
             "m": m,
             "ind": ind,
             "boundary_lattice": boundary,
-            "strongly_nonneg": cone_is_pointed(vecs),
+            # Always pointed: every generator and proxy point has degree
+            # coordinate >= 1 (s = 1, from_generators rejects degrees
+            # <= 0, proxy points have n >= 1).
+            "strongly_nonneg": True,
             "L_dim": lat.rank,
             "empirical": empirical,
         }
@@ -398,10 +400,6 @@ class GradedSemigroup:
     def okounkov_body(self, bound=8):
         """Slice of the generated cone at degree m(S); a Polytope."""
         inv = self.invariants(bound)
-        if not inv["strongly_nonneg"]:
-            raise UnsupportedSemigroupError(
-                "Newton-Okounkov body needs a strongly non-negative "
-                "semigroup")
         gens, _ = self.proxy_generators(bound)
         m = inv["m"]
         pts = [tuple(Fraction(m * x, deg[0]) for x in val) + (Fraction(m),)

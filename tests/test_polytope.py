@@ -1,7 +1,10 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import elimination_reference as ref
 from oklab.errors import (InvalidRayError, MeasureMismatchError,
                           ValidationError)
 from oklab.lattice import group_generated
@@ -132,3 +135,117 @@ def test_polynomial_evaluate():
                                  coeffs={(2, 0): F(1), (1, 1): F(2),
                                          (0, 2): F(1, 2)})
     assert poly.evaluate((2, 2)) == 4 + 8 + 2
+
+
+# -- properties ---------------------------------------------------------------
+
+COORDS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def clouds(draw):
+    """1-8 rational points in 1-4 D, often in a proper affine subspace
+    and often with repeats."""
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        pts = [tuple(draw(COORDS) for _ in range(d)) for _ in range(k)]
+    else:
+        e = draw(st.integers(0, d - 1))
+        base = [draw(COORDS) for _ in range(d)]
+        dirs = [[draw(COORDS) for _ in range(d)] for _ in range(e)]
+        pts = []
+        for _ in range(k):
+            c = [draw(st.integers(-2, 2)) for _ in range(e)]
+            pts.append(tuple(base[i] + sum(c[t] * dirs[t][i]
+                                           for t in range(e))
+                             for i in range(d)))
+    repeats = draw(st.lists(st.sampled_from(pts), max_size=3))
+    return pts + repeats
+
+
+def _in_hull_brute_force(p, others):
+    """Caratheodory: p is in conv(others) iff it is in the hull of an
+    affinely independent subset of at most d + 1 of them."""
+    for size in range(1, min(len(p) + 1, len(others)) + 1):
+        for sub in itertools.combinations(others, size):
+            t0 = sub[0]
+            diffs = [tuple(x - y for x, y in zip(t, t0)) for t in sub[1:]]
+            if ref.rational_rank(diffs) < len(diffs):
+                continue
+            mu = ref.solve_in_basis(diffs, tuple(x - y
+                                                 for x, y in zip(p, t0)))
+            if mu is not None and min(mu, default=0) >= 0 and sum(mu) <= 1:
+                return True
+    return False
+
+
+@settings(max_examples=100)
+@given(clouds())
+def test_convex_hull_matches_brute_force_vertices(pts):
+    hull = convex_hull(pts)
+    distinct = list(dict.fromkeys(tuple(F(x) for x in p) for p in pts))
+    expected = [p for p in distinct
+                if not _in_hull_brute_force(p, [q for q in distinct
+                                                if q != p])]
+    assert hull.vertices == tuple(expected)  # input order kept
+    p0 = distinct[0]
+    assert hull.affine_dim == ref.rational_rank(
+        [tuple(x - y for x, y in zip(p, p0)) for p in distinct[1:]])
+    assert hull.ambient_dim == len(p0)
+    assert all(type(x) is F for v in hull.vertices for x in v)
+
+
+@st.composite
+def fibers(draw):
+    """A cone of (valuation, degree) rays with nonzero degrees and a
+    degree point, so that every fiber is bounded."""
+    r = draw(st.integers(1, 3))
+    s = draw(st.integers(1, 2))
+    rays = []
+    for _ in range(draw(st.integers(1, 6))):
+        val = [draw(st.integers(-3, 3)) for _ in range(r)]
+        deg = [draw(st.integers(0, 3)) for _ in range(s)]
+        if not any(deg):
+            deg[0] = 1
+        rays.append(tuple(val + deg))
+    x = tuple(draw(st.fractions(0, 4, max_denominator=2)) for _ in range(s))
+    return make_cone(rays), (r, s), x
+
+
+@settings(max_examples=100)
+@given(fibers())
+def test_cone_fiber_vertices_are_irredundant(case):
+    fiber = cone_fiber(*case)
+    if fiber.is_empty:
+        return
+    hull = convex_hull(fiber.vertices)
+    assert fiber.vertices == hull.vertices
+    assert fiber.affine_dim == hull.affine_dim
+
+
+@st.composite
+def lattice_polygons(draw):
+    """Hull of 1-5 lattice points in [0, 3]^2: points, segments, polygons."""
+    pts = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                        min_size=1, max_size=5))
+    return convex_hull(pts)
+
+
+@settings(max_examples=60)
+@given(lattice_polygons(), lattice_polygons())
+def test_mixed_volume_is_symmetric(p, q):
+    assert mixed_volume([p, q], (1, 1)) == mixed_volume([q, p], (1, 1))
+
+
+@settings(max_examples=60)
+@given(lattice_polygons(), lattice_polygons(), lattice_polygons())
+def test_mixed_volume_is_minkowski_additive(p1, p2, q):
+    assert mixed_volume([minkowski_sum(p1, p2), q], (1, 1)) == \
+        mixed_volume([p1, q], (1, 1)) + mixed_volume([p2, q], (1, 1))
+
+
+@settings(max_examples=60)
+@given(lattice_polygons())
+def test_mixed_volume_diagonal_is_twice_the_area(p):
+    assert mixed_volume([p, p], (1, 1)) == 2 * volume_in_dim(p, 2)
