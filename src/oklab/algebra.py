@@ -368,8 +368,13 @@ def _stable_fit(fn, s, q, n0=None, cap=512):
         coeffs = {e: c for e, c in zip(exps, coeffs) if c}
         held_out = [tuple(n0 + m[i] for i in range(s))
                     for t in (q + 1, q + 2) for m in compositions(t, s)]
-        ok = all(sum(c * _monomial(p, e) for e, c in coeffs.items())
-                 == value(p) for p in held_out)
+        # Held-out points are checked in integers: den * fit(p) with the
+        # coefficients scaled by the lcm of their denominators.
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
+        scaled = [(e, c.numerator * (den // c.denominator))
+                  for e, c in coeffs.items()]
+        ok = all(sum(c * _monomial(p, e) for e, c in scaled)
+                 == den * value(p) for p in held_out)
         fits.append((n0, coeffs))
         if ok and prev is not None and prev == coeffs:
             return MultidegreePolynomial(num_vars=s, degree=q, coeffs=coeffs)

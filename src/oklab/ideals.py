@@ -7,8 +7,13 @@ quotient.  The upward closure of a generator set is an accumulated OR
 along each axis (dilation by the positive orthant is separable), and a
 product of ideals is that closure dilated by the other factors'
 generators, one shifted OR per generator, so the counts in
-``_bhattacharya_value`` form no product antichain.  Families are power
-families, explicit lists, or the homogenization of a convex body.
+``_bhattacharya_value`` form no product antichain.  Colengths modulo a
+power of the maximal ideal m come from one int32 gap grid (the least
+total degree of num below each point, minus its own), which answers
+every power of m at once; so ``fixed_ideal_mixed_multiplicities`` with
+I = m^a counts one gap grid per J-multidegree, not one per point of its
+fit.  Families are power families, explicit lists, or the
+homogenization of a convex body.
 """
 
 from __future__ import annotations
@@ -135,9 +140,11 @@ def _dilate(grid, gens):
     out = np.zeros_like(grid)
     for g in gens:
         if all(x < s for x, s in zip(g, grid.shape)):
-            view = out[tuple(slice(x, None) for x in g)]
-            view |= grid[tuple(slice(0, s - x)
-                               for x, s in zip(g, grid.shape))]
+            # List comprehensions: a generator of slices here leaves
+            # cyclic garbage, 11 KB per 100 generators until collected.
+            view = out[tuple([slice(x, None) for x in g])]
+            view |= grid[tuple([slice(0, s - x)
+                                for x, s in zip(g, grid.shape)])]
     return out
 
 
@@ -148,16 +155,17 @@ def _add_coordinate_sum(grid, sign):
         grid += idx.reshape((-1,) + (1,) * (grid.ndim - 1 - axis))
 
 
-def _mpower_colength(gap, c):
-    """#(num / m^c * num) on a box that holds the quotient.
+def _mpower_colengths(gap, cs):
+    """[#(num / m^c * num) for c in cs] on a box that holds each quotient.
 
     ``gap`` is an int32 grid, 0 at points of num that include its
     generators and _FAR elsewhere; it is overwritten.  A monomial a lies
     in m^c * num iff some b <= a in num has |a| - |b| >= c, so the count
     only needs, per box point a, the minimum total degree M(a) over
     those b.  M is a min-plus dilation by the positive orthant, computed
-    separably with one accumulated minimum per axis.  The grid and one
-    bool temporary are held at a time: 5 bytes a point.
+    separably with one accumulated minimum per axis, and answers every c
+    at once.  The grid and one bool temporary are held at a time: 5
+    bytes a point.
     """
     _add_coordinate_sum(gap, 1)
     for axis in range(gap.ndim):
@@ -165,7 +173,8 @@ def _mpower_colength(gap, c):
     # gap(a) = M(a) - |a| lies in (-c, 0] exactly on the quotient; points
     # with nothing of num below them stay far above 0.
     _add_coordinate_sum(gap, -1)
-    return int(np.count_nonzero(gap > -c)) - int(np.count_nonzero(gap > 0))
+    outside = int(np.count_nonzero(gap > 0))
+    return [int(np.count_nonzero(gap > -c)) - outside for c in cs]
 
 
 _FAR = np.iinfo(np.int32).max // 2
@@ -225,7 +234,7 @@ def quotient_dim_by_mpower(num, c):
     _guard_grid(shape, 5)
     gap = np.full(shape, _FAR, dtype=np.int32)
     gap[tuple(np.array(num.min_gens).T)] = 0
-    return _mpower_colength(gap, c)
+    return _mpower_colengths(gap, [c])[0]
 
 
 def _as_m_power(ideal):
@@ -381,39 +390,57 @@ def body_to_family(body, h, check_bound=3):
 def _bhattacharya_value(ifam, jfams, point):
     """Exact dim of J(1)_{n_1}...J(s)_{n_s} / I_{n_0} * (same).
 
-    Counted on one boolean grid, with no product antichain.  If I_{n_0}
-    holds the pure powers x_i^{e_i}, a monomial a of num = J(1)...J(s)
-    outside I*num has a_i < g_i + e_i for every generator g <= a of num,
-    so the box with sides sum_j maxcoord_i(J(j)) + e_i holds the whole
-    quotient.  An I_{n_0} without them (not m-primary) leaves the
-    quotient infinite.
+    Counted on the numerator's grid, with no product antichain: by its
+    gap grid when I_{n_0} = m^c, otherwise as #num - #(num dilated by
+    the generators of I_{n_0}).
     """
     n0, n = point[0], point[1:]
-    d = ifam.num_vars
     ideal_i = ifam.ideal(n0)
     factors = [fam.ideal(ni) for fam, ni in zip(jfams, n)]
+    c = _as_m_power(ideal_i)
+    if c is not None:
+        return _numerator_colengths(factors, ifam.num_vars, [c])[0]
     if any(j.is_zero for j in factors):
         return 0
-    c = _as_m_power(ideal_i)
-    edge = (c,) * d if c is not None else _pure_power_exponents(ideal_i)
+    num = _numerator_grid(factors, _pure_power_exponents(ideal_i))
+    return int(np.count_nonzero(num)) - \
+        int(np.count_nonzero(_dilate(num, ideal_i.min_gens)))
+
+
+def _numerator_grid(factors, edge):
+    """Indicator of num = J(1)...J(s) on a box that holds num / I * num.
+
+    If I holds the pure powers x_i^{e_i} (``edge``), a monomial a of num
+    outside I*num has a_i < g_i + e_i for every generator g <= a of num,
+    so the box with sides sum_j maxcoord_i(J(j)) + e_i holds the whole
+    quotient.  num is the closure grid of the first factor dilated by
+    each further factor's generators.  The guard counts 5 bytes a point:
+    two bool grids while dilating, or this grid and the int32 gap grid
+    made from it.
+    """
     shape = list(edge)
     for j in factors:
         for i, top in enumerate(map(max, zip(*j.min_gens))):
             shape[i] += top
     shape = tuple(shape)
-    # Two bool grids while dilating, or one bool and one int32 grid.
     _guard_grid(shape, 5)
-    num = _closure_grid(factors[0].min_gens if factors else [(0,) * d],
-                        shape)
+    num = _closure_grid(factors[0].min_gens if factors
+                        else [(0,) * len(shape)], shape)
     for j in factors[1:]:
         num = _dilate(num, j.min_gens)
-    if c is None:
-        return int(np.count_nonzero(num)) - \
-            int(np.count_nonzero(_dilate(num, ideal_i.min_gens)))
-    gap = np.full(shape, _FAR, dtype=np.int32)
+    return num
+
+
+def _numerator_colengths(factors, d, cs):
+    """[dim num / m^c * num for c in cs], num = J(1)...J(s), from one gap
+    grid on the box sized for the largest c."""
+    if any(j.is_zero for j in factors):
+        return [0] * len(cs)
+    num = _numerator_grid(factors, (max(cs),) * d)
+    gap = np.full(num.shape, _FAR, dtype=np.int32)
     np.copyto(gap, 0, where=num)
     del num
-    return _mpower_colength(gap, c)
+    return _mpower_colengths(gap, cs)
 
 
 def _pure_power_exponents(ideal):
@@ -434,11 +461,11 @@ def _pure_power_exponents(ideal):
     return tuple(edge)
 
 
-def bhattacharya_limit(ifam, jfams, point, n_max=40, subsample=4):
+def bhattacharya_limit(ifam, jfams, point, n_max=40):
     """Tail-fit estimate of lim dim(.../...) / k^d at k * point."""
     d = ifam.num_vars
     point = tuple(int(x) for x in point)
-    ks = list(range(max(1, n_max // 2), n_max + 1, subsample))
+    ks = list(range(max(1, n_max // 2), n_max + 1, 4))
     ys = [_bhattacharya_value(ifam, jfams, tuple(k * x for x in point))
           for k in ks]
     return tail_fit(ks, ys, d)
@@ -449,15 +476,37 @@ def fixed_ideal_mixed_multiplicities(ideal_i, ideals_j):
 
     Interpolates the limit polynomial G(n_0, n) of total degree
     d = num_vars on powers of the fixed ideals and reads off the
-    top-degree coefficients e / ((d0+1)! d1! ... ds!).
+    top-degree coefficients e / ((d0+1)! d1! ... ds!).  When I = m^a,
+    one gap grid per J-part n answers G(n_0, n) for every n_0 at once,
+    since I^{n_0} = m^{a n_0}; otherwise each point is counted alone.
     """
     d = ideal_i.num_vars
     s = len(ideals_j)
     ifam = PowersFamily(ideal_i)
     jfams = [PowersFamily(j) for j in ideals_j]
+    a = _as_m_power(ideal_i)
+    tables = {}  # J-part n -> {n_0: G(n_0, n)}, used when I = m^a
 
     def fn(pt):
-        return _bhattacharya_value(ifam, jfams, pt)
+        if a is None:
+            return _bhattacharya_value(ifam, jfams, pt)
+        n0, n = pt[0], pt[1:]
+        table = tables.get(n)
+        if table is None or n0 not in table:
+            # The fit asks for a round's points by total degree, so a new
+            # J-part n comes first at the round's base N0 = n0 and last at
+            # n0 = (s + 1) N0 + d + 2 - |n|.  Past an old table N0 is
+            # unknown, and the least base whose round holds pt is taken.
+            # Either way the box is that of a point of the round.  Answers
+            # never depend on this order: a request past the table
+            # rebuilds it.
+            base = n0 if table is None else -((d + 2 - n0 - sum(n)) //
+                                              (s + 1))
+            n0s = range(n0, max(n0, (s + 1) * base + d + 2 - sum(n)) + 1)
+            factors = [fam.ideal(k) for fam, k in zip(jfams, n)]
+            tables[n] = dict(zip(n0s, _numerator_colengths(
+                factors, d, [a * k for k in n0s])))
+        return tables[n][n0]
 
     poly = _stable_fit(fn, s + 1, d, n0=2, cap=64)
     out = {}

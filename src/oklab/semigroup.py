@@ -274,8 +274,10 @@ class GradedSemigroup:
         """{n: #[S]_n} for n <= n_max; exact.  Singly graded only."""
         if self.s != 1:
             raise UnsupportedSemigroupError("counts_upto needs s = 1")
-        self.piece_size((n_max,))  # sizes the counting box once
-        return {n: self.piece_size((n,)) for n in range(n_max + 1)}
+        self.piece_size((n_max,))  # checks n_max, sizes the counting box
+        if not isinstance(self.source, Generators):
+            return {n: self.piece_size((n,)) for n in range(n_max + 1)}
+        return dict(enumerate(self._counts[:n_max + 1].tolist()))
 
     def _count_box(self, top):
         """#[S]_n for every degree n in the box [0, top], as an int array.

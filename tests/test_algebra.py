@@ -1,9 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from oklab.algebra import MonomialAlgebra, ladder_report
-from oklab.errors import ValidationError
+from oklab.algebra import MonomialAlgebra, _stable_fit, ladder_report
+from oklab.errors import RegularityNotReachedError, ValidationError
 from oklab.polytope import cone_fiber
 from oklab.semigroup import BoundRule, StaircaseSpec
 
@@ -243,3 +244,20 @@ def test_ladder_report_extrapolates_disagreeing_rungs():
     assert rep.value == 1.0 and rep.positive
     with pytest.raises(ValidationError):
         ladder_report((1,), lambda p: F(1), (4,), lambda value: True)
+
+
+def test_stable_fit_recovers_fractional_coefficients():
+    # Held-out points are compared in integers, scaled by the lcm 6 of
+    # the coefficients' denominators.
+    def fn(p):
+        return math.comb(p[0] + p[1] + 2, 3) + p[0] * p[1]
+
+    poly = _stable_fit(fn, 2, 3)
+    for p in ((0, 0), (1, 5), (7, 2), (30, 41)):
+        assert poly.evaluate(p) == fn(p), p
+    assert poly.coeffs[(3, 0)] == Fraction(1, 6)
+
+
+def test_stable_fit_rejects_non_polynomial():
+    with pytest.raises(RegularityNotReachedError):
+        _stable_fit(lambda p: 2 ** p[0] + p[1], 2, 2, cap=64)

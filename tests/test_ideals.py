@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import bhattacharya_reference as ref
 from oklab.errors import (ResourceLimitError, UnsupportedIdealError,
                           ValidationError)
 from oklab.ideals import (BodyFamily, ExplicitFamily, PowersFamily,
-                          _bhattacharya_value, analytic_spread,
+                          _bhattacharya_value, _numerator_colengths,
+                          analytic_spread,
                           bhattacharya_limit, body_to_family, family_mixed_multiplicities,
                           family_positivity,
                           fixed_ideal_mixed_multiplicities, ideal_contains,
@@ -337,3 +339,86 @@ def test_powers_family_matches_power(base, queries):
     fam = PowersFamily(base)
     for n in queries:
         assert fam.ideal(n) == power(base, n), n
+
+
+@st.composite
+def table_cases(draw):
+    """m^a with J-factors (zero and non-m-primary ones included), one J-part
+    and several powers n_0 of m^a, zero colengths at n_0 = 0 included."""
+    d = draw(st.sampled_from((2, 3)))
+    s = draw(st.integers(0, 2))
+    a = draw(st.integers(1, 3))
+    ideals_j = draw(st.lists(
+        st.one_of(st.just(maximal_ideal(d)),
+                  st.lists(exponents(d, 2), max_size=3).map(
+                      lambda gens: monomial_ideal(d, gens))),
+        min_size=s, max_size=s))
+    n = draw(st.tuples(*[st.integers(0, 3 if d == 2 else 2)] * s))
+    n0s = draw(st.lists(st.integers(0, 4), min_size=1, max_size=5,
+                        unique=True))
+    return d, a, ideals_j, n, n0s
+
+
+@settings(max_examples=150)
+@given(table_cases())
+def test_mpower_colengths_match_pointwise_values(case):
+    d, a, ideals_j, n, n0s = case
+    jfams = [PowersFamily(j) for j in ideals_j]
+    got = _numerator_colengths([f.ideal(k) for f, k in zip(jfams, n)], d,
+                               [a * k for k in n0s])
+    ifam = PowersFamily(power(maximal_ideal(d), a))
+    assert got == [_bhattacharya_value(ifam, jfams, (k,) + n) for k in n0s]
+
+
+@st.composite
+def fit_cases(draw):
+    """I = m^a, the unit ideal or an m-primary non-power; 0-2 J-factors."""
+    d = draw(st.sampled_from((2, 3)))
+    ideal_i = draw(st.one_of(
+        st.integers(0, 3 if d == 2 else 2).map(
+            lambda a: power(maximal_ideal(d), a)),
+        m_primary_ideals(d)))
+    ideals_j = draw(st.lists(
+        st.one_of(st.just(maximal_ideal(d)),
+                  st.lists(exponents(d, 2), min_size=1, max_size=3).map(
+                      lambda gens: monomial_ideal(d, gens))),
+        max_size=2 if d == 2 else 1))
+    return ideal_i, ideals_j
+
+
+@settings(max_examples=80)
+@given(fit_cases())
+@example((power(maximal_ideal(2), 2), []))
+@example((monomial_ideal(3, [(0, 0, 0)]), [maximal_ideal(3)]))
+@example((monomial_ideal(2, [(0, 2), (1, 1), (3, 0)]),
+          [monomial_ideal(2, [(1, 0)])]))
+def test_fixed_mixed_multiplicities_match_pointwise_fit(case):
+    ideal_i, ideals_j = case
+    assert fixed_ideal_mixed_multiplicities(ideal_i, ideals_j) == \
+        ref.fixed_ideal_mixed_multiplicities(ideal_i, ideals_j)
+
+
+def test_mpower_table_guard_counts_what_it_holds(monkeypatch):
+    monkeypatch.setenv("OKLAB_MEMORY_LIMIT_MB", "1")
+    m = maximal_ideal(2)
+    factors = [power(m, 200), power(m, 100)]
+    cs = [0, 1, 50, 157]
+    with pytest.raises(ResourceLimitError):
+        _numerator_colengths(factors, 2, cs + [158])  # 458^2 points
+    # The largest table box the guard admits (457^2 points, 5 bytes each)
+    # stays within the limit: dim m^300 / m^(300 + c) for every c at once.
+    tracemalloc.start()
+    try:
+        got = _numerator_colengths(factors, 2, cs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1024 * 1024
+    assert got == [sum(k + 1 for k in range(300, 300 + c)) for c in cs]
+    # A fit's tables are the boxes of its own points: with no J, the
+    # largest is m^(8a), 456^2 points at a = 57, and one step larger
+    # raises.
+    assert fixed_ideal_mixed_multiplicities(power(m, 57), []) == \
+        {(1,): 57 ** 2}
+    with pytest.raises(ResourceLimitError):
+        fixed_ideal_mixed_multiplicities(power(m, 58), [])

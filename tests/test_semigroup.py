@@ -124,6 +124,9 @@ def test_counts_bitset_matches_enumeration():
     counts = sg.counts_upto(12)
     for n in range(13):
         assert counts[n] == len(sg.graded_piece((n,))), n
+        assert type(counts[n]) is int
+    # A smaller request reads the head of the box already counted.
+    assert sg.counts_upto(3) == {n: counts[n] for n in range(4)}
 
 
 def test_counts_rank_one():
