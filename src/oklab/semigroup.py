@@ -4,10 +4,12 @@ Three kinds of sources are supported: finite generator lists, staircase
 rules (r = 1, closed-form per-degree intervals), and Veronese rays of a
 parent semigroup.  Graded pieces as point sets come from a
 degree-indexed dynamic program over frozensets.  Piece counts of
-generator sources, in any multidegree and along Veronese rays, come
-from one dynamic program on big-integer bitsets in lattice coordinates,
-which is what makes the limit checks at n_max = 500 affordable;
-staircase counts are closed forms.
+generator sources, in any multidegree and along Veronese rays, are read
+from one box of degrees: Q-independent generators (a free semigroup)
+are counted by their Hilbert series, prod_g 1/(1 - t^deg g), with
+shifted numpy adds; every other set by a dynamic program on big-integer
+bitsets in lattice coordinates.  This is what makes the limit checks at
+n_max = 500 affordable; staircase counts are closed forms.
 """
 
 from __future__ import annotations
@@ -137,6 +139,102 @@ def _check_staircase_closure(spec, bound):
 
 
 # ---------------------------------------------------------------------------
+# piece counts over a box of degrees
+
+def _bit_layout(r, s, gens, top):
+    """(rank of G, bit shift per generator, bits per degree) on [0, top].
+
+    A point of S is fixed by its coordinates in the lattice G its
+    generators span.  The coordinates that the degree determines (pivots
+    of the degree block) drop out; the others, offset by |n| * base so
+    they stay in [0, width), index the bits of one big integer per
+    degree.
+    """
+    vecs = [val + deg for val, deg in gens]
+    lat = group_generated(vecs, r + s)
+    pivots = echelon([[b[r + i] for b in lat.basis] for i in range(s)])[1]
+    free = [j for j in range(lat.rank) if j not in pivots]
+    coords = [[c[j] for j in free] for c in map(lat.coordinates, vecs)]
+    totals = [sum(deg) for _, deg in gens]
+    base, widths = [], []
+    for t in range(len(free)):
+        slopes = [Fraction(c[t], d) for c, d in zip(coords, totals)]
+        base.append(math.floor(min(slopes)))
+        widths.append(math.floor(sum(top) * (max(slopes) - base[t])) + 1)
+    strides = [math.prod(widths[t + 1:]) for t in range(len(free))]
+    shifts = [sum((x - d * b) * st for x, b, st in zip(c, base, strides))
+              for c, d in zip(coords, totals)]
+    return lat.rank, shifts, math.prod(widths)
+
+
+def _series_box(degs, top):
+    """Coefficients of prod_g 1/(1 - t^deg g) on the box [0, top].
+
+    1/(1 - t^d) = (1 + t^d)(1 + t^2d)(1 + t^4d)..., and a factor whose
+    step leaves the box acts as 1 there, so each generator costs one
+    shifted add per doubling of its degree that fits.  The memory guard
+    is checked before anything is allocated.
+    """
+    size = math.prod(t + 1 for t in top)
+    # The counts and numpy's copy of an add's overlapping source (at most
+    # the box); for a strided add also its two buffers of getbufsize()
+    # int64s, and 16 KiB for the iterator, the views and the interpreter.
+    if 16 * (size + np.getbufsize()) + 16384 > memory_limit_bytes():
+        raise ResourceLimitError(
+            f"piece counting up to {top} exceeds the memory guard",
+            degree=top)
+    counts = np.zeros([t + 1 for t in top], dtype=np.int64)
+    counts[(0,) * len(top)] = 1
+    for step in degs:
+        while all(map(operator.le, step, top)):
+            counts[tuple(slice(a, None) for a in step)] += counts[
+                tuple(slice(t + 1 - a) for a, t in zip(step, top))]
+            step = tuple(2 * a for a in step)
+    return counts
+
+
+def _bitset_box(degs, shifts, bits, top):
+    """#[S]_n on the box [0, top] by a DP on big-integer bitsets.
+
+    Degree n holds the OR of the bitsets at n - deg g shifted by the
+    generator's shift (see `_bit_layout`; ``bits`` per degree).  The DP
+    runs over the box in lexicographic order and keeps only the slab of
+    degrees within the largest first-axis generator degree.  The memory
+    guard is checked from that window's bit size before anything is
+    allocated.
+    """
+    reach0 = max((deg[0] for deg in degs), default=0)
+    rest = [range(t + 1) for t in top[1:]]
+    slab_size = math.prod(len(r) for r in rest)
+    # The window's bitsets plus the shifted temporary, and the counts.
+    window_bits = ((reach0 + 1) * slab_size + 1) * bits
+    if window_bits // 8 + 8 * (top[0] + 1) * slab_size > \
+            memory_limit_bytes():
+        raise ResourceLimitError(
+            f"piece counting up to {top} exceeds the memory guard",
+            degree=top)
+    counts = np.zeros([t + 1 for t in top], dtype=np.int64)
+    flat = counts.reshape(-1)  # a view, in lexicographic order
+    window = {}
+    k = 0
+    for i in range(top[0] + 1):
+        window.pop(i - reach0 - 1, None)
+        slab = window[i] = {}
+        steps = [(window[i - deg[0]], deg[1:], sh)
+                 for deg, sh in zip(degs, shifts) if i - deg[0] in window]
+        for n in itertools.product(*rest):
+            acc = 0 if k else 1  # degree 0 holds the empty sum
+            for below, d, sh in steps:
+                prev = below.get(tuple(map(operator.sub, n, d)))
+                if prev:
+                    acc |= prev << sh
+            slab[n] = acc
+            flat[k] = acc.bit_count()
+            k += 1
+    return counts
+
+
+# ---------------------------------------------------------------------------
 # semigroup
 
 @dataclass(frozen=True)
@@ -153,11 +251,10 @@ class VeroneseRay:
 class GradedSemigroup:
     """A graded subsemigroup of Z^r x N^s."""
 
-    def __init__(self, r, s, source, empirical=False):
+    def __init__(self, r, s, source):
         self.r = r
         self.s = s
         self.source = source
-        self.empirical = empirical
         self._piece_memo = {(0,) * s: frozenset({(0,) * r})}
         self._memo_points = 1
         # Piece counts over the box [0, top], grown on demand by doubling.
@@ -183,7 +280,7 @@ class GradedSemigroup:
     @classmethod
     def from_staircase(cls, spec, closure_bound=8):
         _check_staircase_closure(spec, closure_bound)
-        return cls(1, spec.s, spec, empirical=False)
+        return cls(1, spec.s, spec)
 
     def veronese_ray(self, ray):
         """The singly graded semigroup of pieces along k * ray."""
@@ -193,8 +290,7 @@ class GradedSemigroup:
                                   f"{self.s}")
         if self.s == 1 and ray == (1,):
             return self
-        return GradedSemigroup(self.r, 1, VeroneseRay(self, ray),
-                               empirical=self.empirical)
+        return GradedSemigroup(self.r, 1, VeroneseRay(self, ray))
 
     @property
     def generators(self):
@@ -266,6 +362,8 @@ class GradedSemigroup:
                 tuple(n[0] * k for k in self.source.ray))
         shape = self._counts.shape
         if any(a >= b for a, b in zip(n, shape)):
+            # The memory guard counts only the new box: drop the old one.
+            self._counts = np.ones((1,) * self.s, dtype=np.int64)
             self._counts = self._count_box(
                 tuple(max(a, 2 * (b - 1)) for a, b in zip(n, shape)))
         return int(self._counts[n])
@@ -282,62 +380,22 @@ class GradedSemigroup:
     def _count_box(self, top):
         """#[S]_n for every degree n in the box [0, top], as an int array.
 
-        A point of S is fixed by its coordinates in the lattice G its
-        generators span.  The coordinates that the degree determines
-        (pivots of the degree block) drop out; the others, offset by
-        |n| * base so they stay in [0, width), index the bits of one big
-        integer per degree.  The DP runs over the box in lexicographic
-        order and keeps only the slab of degrees within the largest
-        first-axis generator degree.  The memory guard is checked from
-        that window's bit size before anything is allocated.
+        Q-independent generators (rank G = their number) embed N^k in S,
+        so #[S]_n is the coefficient of t^n in the Hilbert series
+        prod_g 1/(1 - t^deg g) (`_series_box`).  Every other set is
+        counted by the bitset DP (`_bitset_box`) in the coordinates of
+        `_bit_layout`.  Either way a count is at most the number of bits
+        a degree needs, which is checked to fit in int64.
         """
         gens = self.generators
-        vecs = [val + deg for val, deg in gens]
-        lat = group_generated(vecs, self.r + self.s)
-        pivots = echelon([[b[self.r + i] for b in lat.basis]
-                          for i in range(self.s)])[1]
-        free = [j for j in range(lat.rank) if j not in pivots]
-        coords = [[c[j] for j in free]
-                  for c in map(lat.coordinates, vecs)]
-        totals = [sum(deg) for _, deg in gens]
-        base, widths = [], []
-        for t in range(len(free)):
-            slopes = [Fraction(c[t], d) for c, d in zip(coords, totals)]
-            base.append(math.floor(min(slopes)))
-            widths.append(math.floor(sum(top) * (max(slopes) - base[t])) + 1)
-        strides = [math.prod(widths[t + 1:]) for t in range(len(free))]
-        shifts = [sum((x - d * b) * st for x, b, st in zip(c, base, strides))
-                  for c, d in zip(coords, totals)]
-        reach0 = max((deg[0] for _, deg in gens), default=0)
-        rest = [range(t + 1) for t in top[1:]]
-        slab_size = math.prod(len(r) for r in rest)
-        # The window's bitsets plus the shifted temporary, and the counts.
-        window_bits = ((reach0 + 1) * slab_size + 1) * math.prod(widths)
-        if window_bits // 8 + 8 * (top[0] + 1) * slab_size > \
-                memory_limit_bytes():
+        degs = [deg for _, deg in gens]
+        rank, shifts, bits = _bit_layout(self.r, self.s, gens, top)
+        if bits > np.iinfo(np.int64).max:
             raise ResourceLimitError(
-                f"piece counting up to {top} exceeds the memory guard",
-                degree=top)
-        counts = np.zeros([t + 1 for t in top], dtype=np.int64)
-        flat = counts.reshape(-1)  # a view, in lexicographic order
-        window = {}
-        k = 0
-        for i in range(top[0] + 1):
-            window.pop(i - reach0 - 1, None)
-            slab = window[i] = {}
-            steps = [(window[i - deg[0]], deg[1:], sh)
-                     for (_, deg), sh in zip(gens, shifts)
-                     if i - deg[0] in window]
-            for n in itertools.product(*rest):
-                bits = 0 if k else 1  # degree 0 holds the empty sum
-                for below, d, sh in steps:
-                    prev = below.get(tuple(map(operator.sub, n, d)))
-                    if prev:
-                        bits |= prev << sh
-                slab[n] = bits
-                flat[k] = bits.bit_count()
-                k += 1
-        return counts
+                f"piece counts up to {top} may overflow int64", degree=top)
+        if rank == len(gens):
+            return _series_box(degs, top)
+        return _bitset_box(degs, shifts, bits, top)
 
     # -- invariants and bodies -----------------------------------------------
 

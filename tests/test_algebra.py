@@ -111,6 +111,12 @@ def test_volume_fn_count():
     assert abs(est2 - 1) < 0.02
 
 
+def test_volume_fn_count_free_algebra_default_window():
+    # Segre's generators are free, so the whole box [0, 500 * (1, 1)] is
+    # counted by the Hilbert series; F_A(1, 1) = 1.
+    assert abs(segre().volume_fn_count((1, 1)) - 1) < 1e-4
+
+
 def test_volume_fn_nonpolyhedral_estimate():
     a = nonpoly_algebra()
     fv = a.volume_fn_fiber((3, 4))

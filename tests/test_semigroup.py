@@ -4,13 +4,14 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oklab.errors import (EmptyTruncationError, ResourceLimitError,
                           UnsupportedSemigroupError, ValidationError)
 from oklab.semigroup import BoundRule, GradedSemigroup, StaircaseSpec, \
-    tail_fit
+    _bit_layout, _bitset_box, _series_box, tail_fit
 
 F = Fraction
 
@@ -315,3 +316,122 @@ def test_counting_guard_fires_before_allocation(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1024 * 1024
+
+
+@st.composite
+def independent_sets(draw):
+    """Q-independent generators and a starting box (r <= 3, s <= 3)."""
+    r = draw(st.integers(0, 3))
+    s = draw(st.integers(1, 3))
+    k = draw(st.integers(1, r + s))
+    deg = st.tuples(*[st.integers(0, 3)] * s).filter(any)
+    val = st.tuples(*[st.integers(-1, 2)] * r)
+    gens = draw(st.lists(st.tuples(val, deg), min_size=k, max_size=k))
+    assume(np.linalg.matrix_rank([v + d for v, d in gens]) == k)
+    top = draw(st.tuples(*[st.integers(0, 2)] * s))
+    return r, s, gens, top
+
+
+@settings(max_examples=300)
+@given(independent_sets())
+# A generator of degree (3, 0): no step fits the first box, then the
+# steps run along the first axis only.
+@example((1, 2, [((1,), (3, 0)), ((0,), (1, 2))], (2, 2)))
+# Steps of (2, 1) overshoot the first axis while the second still fits.
+@example((0, 2, [((), (2, 1)), ((), (0, 1))], (3, 9)))
+def test_series_counts_match_bitset_dp(presented):
+    r, s, gens, top = presented
+    degs = [deg for _, deg in gens]
+    # The box grows by doubling, as piece_size grows it.
+    for _ in range(3):
+        rank, shifts, bits = _bit_layout(r, s, gens, top)
+        assert rank == len(gens)
+        want = _bitset_box(degs, shifts, bits, top)
+        got = _series_box(degs, top)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want), top
+        top = tuple(2 * t for t in top)
+
+
+def test_bitset_guard_fires_before_allocation(monkeypatch):
+    # Segre plus the sum of two of its generators: the same semigroup,
+    # but the generators are dependent, so the bitset DP counts it.
+    monkeypatch.setenv("OKLAB_MEMORY_LIMIT_MB", "1")
+    segre = GradedSemigroup.from_generators(
+        4, 2, [((1, 0, 0, 0), (1, 0)), ((0, 1, 0, 0), (1, 0)),
+               ((0, 0, 1, 0), (0, 1)), ((0, 0, 0, 1), (0, 1)),
+               ((1, 0, 1, 0), (1, 1))])
+    assert segre.piece_size((20, 20)) == 21 * 21
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            segre.piece_size((300, 300))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
+
+
+LINE = (1, 1, [((0,), (1,)), ((1,), (1,))])
+
+
+def largest_admitted(r, s, gens, box):
+    """Largest a whose box(a) passes the memory guard, by bisection."""
+    def admitted(a):
+        try:
+            GradedSemigroup.from_generators(r, s, gens).piece_size(box(a))
+        except ResourceLimitError:
+            return False
+        return True
+
+    lo, hi = 0, 1 << 20  # admitted(lo), not admitted(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if admitted(mid) else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("r, s, gens", [
+    LINE,
+    # Segre: the adds along the second axis are strided.
+    (4, 2, [((1, 0, 0, 0), (1, 0)), ((0, 1, 0, 0), (1, 0)),
+            ((0, 0, 1, 0), (0, 1)), ((0, 0, 0, 1), (0, 1))]),
+])
+def test_series_guard_is_tight(monkeypatch, r, s, gens):
+    monkeypatch.setenv("OKLAB_MEMORY_LIMIT_MB", "1")
+
+    def box(a):
+        return (a,) + (255,) * (s - 1)
+
+    lo = largest_admitted(r, s, gens, box)
+    sg = GradedSemigroup.from_generators(r, s, gens)
+    tracemalloc.start()
+    try:
+        sg.piece_size(box(lo))
+        peak = tracemalloc.get_traced_memory()[1]
+        with pytest.raises(ResourceLimitError):
+            GradedSemigroup.from_generators(r, s, gens).piece_size(
+                box(lo + 1))
+    finally:
+        tracemalloc.stop()
+    # The box holds a third of the limit, and counting it stays within.
+    points = math.prod(t + 1 for t in box(lo))
+    assert 8 * points > 1024 * 1024 // 3
+    assert peak <= 1024 * 1024
+    assert sg.piece_size(box(lo)) == points  # both: prod(n_i + 1)
+
+
+def test_grown_box_stays_within_the_guard(monkeypatch):
+    # piece_size grows its box by doubling; the box it outgrew must not
+    # stay alive beside the new one, which is all the guard counts.
+    monkeypatch.setenv("OKLAB_MEMORY_LIMIT_MB", "1")
+    lo = largest_admitted(*LINE, lambda a: (a,))
+    sg = GradedSemigroup.from_generators(*LINE)
+    tracemalloc.start()
+    try:
+        sg.piece_size((lo // 2,))
+        assert sg.piece_size((lo,)) == lo + 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1024 * 1024
