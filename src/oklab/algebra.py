@@ -22,8 +22,7 @@ from .lattice import group_generated
 from .polytope import (MultidegreePolynomial, Sublattice, compositions,
                        cone_fiber, dd_extreme_rays, integral_volume,
                        make_cone, _solve_square)
-from .semigroup import GradedSemigroup, StaircaseSpec, VeroneseRay, \
-    tail_fit
+from .semigroup import GradedSemigroup, StaircaseSpec, tail_fit
 
 
 @dataclass(frozen=True)
@@ -126,14 +125,9 @@ class MonomialAlgebra:
                     "staircase cone is not pointed")
             return make_cone(rays, dim), True
         pts = set()
-        if isinstance(src, VeroneseRay):
-            for k in range(1, bound + 1):
-                pts.update(v + (k,) for v in self.semigroup.graded_piece((k,)))
-        else:
-            for t in range(1, bound + 1):
-                for n in compositions(t, self.s):
-                    pts.update(v + n
-                               for v in self.semigroup.graded_piece(n))
+        for t in range(1, bound + 1):
+            for n in compositions(t, self.s):
+                pts.update(v + n for v in self.semigroup.graded_piece(n))
         rays = [p for p in pts if any(p)]
         return make_cone(rays, self.r + self.s), False
 
@@ -156,8 +150,21 @@ class MonomialAlgebra:
         return group_generated(vecs, self.r + self.s).rank
 
     def _generator_vectors(self, bound=8):
+        """Vectors spanning the group of A, or of an A_(J) by support.
+
+        A non-polyhedral staircase gives the piece endpoints (lo(n), n)
+        and (up(n), n) for 1 <= |n| <= bound: every piece point lies
+        between them, so they span what the enumerated cone's rays span,
+        and so does each degree face.
+        """
+        src = self.semigroup.source
         if self.is_generated:
             return [val + deg for val, deg in self.semigroup.generators]
+        if isinstance(src, StaircaseSpec) and not _is_polyhedral(src):
+            return [(j,) + n for t in range(1, bound + 1)
+                    for n in compositions(t, self.s)
+                    for lo, up in [src.bounds(n)] if lo <= up
+                    for j in (lo, up)]
         cone, _ = self.global_no_cone(bound)
         return list(cone.rays)
 

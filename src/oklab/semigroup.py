@@ -2,18 +2,24 @@
 
 Three kinds of sources are supported: finite generator lists, staircase
 rules (r = 1, closed-form per-degree intervals), and Veronese rays of a
-parent semigroup.  Graded pieces as point sets come from a
+generated parent semigroup.  Graded pieces as point sets come from a
 degree-indexed dynamic program over frozensets.  Piece counts of
 generator sources, in any multidegree and along Veronese rays, are read
 from one box of degrees: Q-independent generators (a free semigroup)
 are counted by their Hilbert series, prod_g 1/(1 - t^deg g), with
 shifted numpy adds; every other set by a dynamic program on big-integer
 bitsets in lattice coordinates.  This is what makes the limit checks at
-n_max = 500 affordable; staircase counts are closed forms.
+n_max = 500 affordable.
+
+Staircase counts are closed forms in integers: each rule is compiled
+once to integer numerators over a common denominator, a Veronese ray of
+a staircase is again a staircase (the rules restricted to the ray), and
+its counts up to n_max are read in one pass over the degrees.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -48,13 +54,28 @@ def tail_fit(ks, ys, q):
 # ---------------------------------------------------------------------------
 # staircase bound rules
 
-def _ceil_frac(x):
-    return -((-x.numerator) // x.denominator) if isinstance(x, Fraction) \
-        else -((-x) // 1)
+def _dot(form, n):
+    return sum(map(operator.mul, form, n))  # stops at the shorter, as zip
 
 
-def _floor_frac(x):
-    return x.numerator // x.denominator if isinstance(x, Fraction) else x // 1
+def _quadratic_at(rows, n):
+    return sum(rows[i][j] * n[i] * n[j]
+               for i in range(len(rows)) for j in range(len(rows)))
+
+
+def _ceil_sqrt(q):
+    """Smallest j >= 0 with j^2 >= q, for q >= 0."""
+    return math.isqrt(q - 1) + 1 if q > 0 else 0
+
+
+def _negative_at(n):
+    return ValidationError(f"quadratic form is negative at {n}; not "
+                           "positive semidefinite")
+
+
+# How each piecewise-linear kind picks among its forms.  A floor or ceil
+# is monotone, so it commutes with the pick.
+_PICKS = {"linear": operator.itemgetter(0), "max": max, "min": min}
 
 
 @dataclass(frozen=True)
@@ -63,38 +84,72 @@ class BoundRule:
 
     kinds: ``linear`` (single rational form), ``max`` / ``min`` (piecewise
     linear over several forms), ``ceil_sqrt_quadratic`` (smallest j with
-    j^2 >= Q(n), Q positive semidefinite with integer entries).
+    j^2 >= Q(n), Q positive semidefinite with integer entries).  The
+    forms are compiled once into integer numerators over one common
+    denominator, so a linear, max or min bound is one floor or ceil
+    division of integers; a square-root bound is one ``math.isqrt``.
+    `restrict` gives a rule along a ray in closed form, and `line` reads
+    a rule on N at every degree up to n_max in one pass.
     """
 
     kind: str
     forms: tuple = ()      # tuple of coefficient tuples (Fractions)
     quadratic: tuple = ()  # integer matrix rows for the quadratic form
 
+    @functools.cached_property
+    def _compiled(self):
+        """(integer numerator rows, common denominator) of the forms."""
+        forms = [[Fraction(c) for c in f] for f in self.forms]
+        den = math.lcm(*(c.denominator for f in forms for c in f))
+        return [[c.numerator * (den // c.denominator) for c in f]
+                for f in forms], den
+
     def value(self, n, side):
         """Integer bound at degree n; ``side`` is 'lower' or 'upper'."""
-        rnd = _ceil_frac if side == "lower" else _floor_frac
-        if self.kind == "linear":
-            return rnd(_form_at(self.forms[0], n))
-        if self.kind == "max":
-            return max(rnd(_form_at(f, n)) for f in self.forms)
-        if self.kind == "min":
-            return min(rnd(_form_at(f, n)) for f in self.forms)
         if self.kind == "ceil_sqrt_quadratic":
             q = _quadratic_at(self.quadratic, n)
             if q < 0:
-                raise ValidationError("quadratic form is negative at "
-                                      f"{n}; not positive semidefinite")
-            return math.isqrt(q - 1) + 1 if q > 0 else 0
-        raise ValidationError(f"unknown bound rule kind {self.kind!r}")
+                raise _negative_at(n)
+            return _ceil_sqrt(q)
+        top, den = self._top(n)
+        return -(-top // den) if side == "lower" else top // den
 
+    def _top(self, n):
+        """(numerator, common denominator) of the picked form at n."""
+        pick = _PICKS.get(self.kind)
+        if pick is None:
+            raise ValidationError(f"unknown bound rule kind {self.kind!r}")
+        nums, den = self._compiled
+        return pick(tuple(_dot(f, n) for f in nums)), den
 
-def _form_at(coeffs, n):
-    return sum(Fraction(c) * k for c, k in zip(coeffs, n))
+    def restrict(self, ray):
+        """The rule k -> value(k * ray) on N, in closed form.
 
+        Each form f becomes the single coefficient f . ray and Q becomes
+        ray^T Q ray; the kind is kept.
+        """
+        nums, den = self._compiled
+        quadratic = ((_quadratic_at(self.quadratic, ray),),) \
+            if self.quadratic else ()
+        return BoundRule(self.kind,
+                         tuple((Fraction(_dot(f, ray), den),) for f in nums),
+                         quadratic)
 
-def _quadratic_at(rows, n):
-    return sum(rows[i][j] * n[i] * n[j]
-               for i in range(len(rows)) for j in range(len(rows)))
+    def line(self, n_max, side):
+        """[value((k,), side) for k = 0..n_max] of a rule on N, in one pass.
+
+        On N a bound is read off its value at 1: the picked form at k is
+        k times the one at 1, since k >= 0, and Q(k) = k^2 Q(1).
+        """
+        if self.kind == "ceil_sqrt_quadratic":
+            q = _quadratic_at(self.quadratic, (1,))
+            if q < 0 < n_max:
+                raise _negative_at((1,))
+            return [_ceil_sqrt(q * k * k) for k in range(n_max + 1)]
+        top, den = self._top((1,))
+        if side == "lower":
+            return [-(-top * k // den) for k in range(n_max + 1)]
+        return [top * k // den for k in range(n_max + 1)]
 
 
 @dataclass(frozen=True)
@@ -108,32 +163,49 @@ class StaircaseSpec:
     def bounds(self, n):
         return self.lower.value(n, "lower"), self.upper.value(n, "upper")
 
+    def restrict(self, ray):
+        """The s = 1 staircase of the pieces at k * ray."""
+        return StaircaseSpec(1, self.lower.restrict(ray),
+                             self.upper.restrict(ray))
+
+    def counts_upto(self, n_max):
+        """[#pointset(k) for k = 0..n_max] of an s = 1 staircase."""
+        return [max(0, up - lo + 1) for lo, up in
+                zip(self.lower.line(n_max, "lower"),
+                    self.upper.line(n_max, "upper"))]
+
 
 def _check_staircase_closure(spec, bound):
-    """Sub/superadditivity of the bounds over the test box."""
+    """Sub/superadditivity of the bounds over the test box.
+
+    One integer table holds both bounds at every degree |n| <= 2 * bound,
+    keyed by the digits of n in base 2 * bound + 1, so the key of a sum
+    m + n is the sum of the keys.  The degrees 1 <= |n| <= bound, then 0,
+    are read first and in that order, so a bad rule raises where it
+    always did; a negative quadratic form at a larger degree fails only
+    a pair that sums to it.  The pairs are tested in the order (m, then
+    n), and the first failing one is reported.  pointset(0) = {0} holds
+    for every rule: forms and Q vanish at 0.
+    """
     from .polytope import compositions
-    degrees = [d for t in range(1, bound + 1)
-               for d in compositions(t, spec.s)]
-    vals = {}
-    for n in degrees + [(0,) * spec.s]:
-        vals[n] = spec.bounds(n)
-    lo0, up0 = vals[(0,) * spec.s]
-    if (lo0, up0) != (0, 0):
-        raise ValidationError("staircase must have pointset(0) = {0}; got "
-                              f"bounds {(lo0, up0)}")
-    for m in degrees:
-        lm, um = vals[m]
-        if lm > um:
-            continue
-        for n in degrees:
-            ln, un = vals[n]
-            if ln > un:
-                continue
-            tot = tuple(a + b for a, b in zip(m, n))
-            if tot not in vals:
-                vals[tot] = spec.bounds(tot)
-            lt, ut = vals[tot]
-            if lt > lm + ln or ut < um + un:
+    s = spec.s
+    radix = [(2 * bound + 1) ** (s - 1 - i) for i in range(s)]
+    degrees = [d for t in range(1, bound + 1) for d in compositions(t, s)]
+    table = {_dot(radix, n): spec.bounds(n) for n in degrees + [(0,) * s]}
+    for t in range(bound + 1, 2 * bound + 1):
+        for n in compositions(t, s):
+            try:
+                table[_dot(radix, n)] = spec.bounds(n)
+            except ValidationError:  # a negative quadratic form
+                table[_dot(radix, n)] = None
+    live = [(_dot(radix, n), n) + table[_dot(radix, n)] for n in degrees]
+    live = [row for row in live if row[2] <= row[3]]
+    for km, m, lm, um in live:
+        for kn, n, ln, un in live:
+            at = table[km + kn]
+            if at is None:
+                raise _negative_at(tuple(map(operator.add, m, n)))
+            if at[0] > lm + ln or at[1] < um + un:
                 raise ValidationError(
                     f"staircase not closed under addition at {m} + {n}")
 
@@ -283,13 +355,21 @@ class GradedSemigroup:
         return cls(1, spec.s, spec)
 
     def veronese_ray(self, ray):
-        """The singly graded semigroup of pieces along k * ray."""
+        """The singly graded semigroup of pieces along k * ray.
+
+        A staircase restricts to the s = 1 staircase of its rules along
+        the ray (`StaircaseSpec.restrict`), built in closed form and with
+        no closure check: a restriction of a closed staircase is closed.
+        Any other source is wrapped as a `VeroneseRay`.
+        """
         ray = tuple(int(x) for x in ray)
         if len(ray) != self.s or any(x <= 0 for x in ray):
             raise ValidationError(f"ray {ray} must be positive of length "
                                   f"{self.s}")
         if self.s == 1 and ray == (1,):
             return self
+        if isinstance(self.source, StaircaseSpec):
+            return GradedSemigroup(1, 1, self.source.restrict(ray))
         return GradedSemigroup(self.r, 1, VeroneseRay(self, ray))
 
     @property
@@ -362,10 +442,12 @@ class GradedSemigroup:
                 tuple(n[0] * k for k in self.source.ray))
         shape = self._counts.shape
         if any(a >= b for a, b in zip(n, shape)):
-            # The memory guard counts only the new box: drop the old one.
+            # Only the outgrown axes grow, by doubling.  The memory guard
+            # counts only the new box: drop the old one.
             self._counts = np.ones((1,) * self.s, dtype=np.int64)
             self._counts = self._count_box(
-                tuple(max(a, 2 * (b - 1)) for a, b in zip(n, shape)))
+                tuple(max(a, 2 * (b - 1)) if a >= b else b - 1
+                      for a, b in zip(n, shape)))
         return int(self._counts[n])
 
     def counts_upto(self, n_max):
@@ -373,7 +455,9 @@ class GradedSemigroup:
         if self.s != 1:
             raise UnsupportedSemigroupError("counts_upto needs s = 1")
         self.piece_size((n_max,))  # checks n_max, sizes the counting box
-        if not isinstance(self.source, Generators):
+        if isinstance(self.source, StaircaseSpec):
+            return dict(enumerate(self.source.counts_upto(n_max)))
+        if isinstance(self.source, VeroneseRay):
             return {n: self.piece_size((n,)) for n in range(n_max + 1)}
         return dict(enumerate(self._counts[:n_max + 1].tolist()))
 

@@ -78,6 +78,10 @@ def test_dims():
     assert a.dim_subalgebra({1}) == 2
     assert a.dim_subalgebra({1, 2}) == 4
     assert min_algebra().krull_dim() == 3
+    # nonpoly: an axis piece is the single point j = 2 n_i.
+    c = nonpoly_algebra()
+    assert c.krull_dim() == 3
+    assert c.dim_subalgebra({1}) == c.dim_subalgebra({2}) == 1
     b = MonomialAlgebra.from_generators(1, 1, [((1,), (1,))])
     assert b.krull_dim() == 1
 

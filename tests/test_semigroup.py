@@ -435,3 +435,15 @@ def test_grown_box_stays_within_the_guard(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 1024 * 1024
+
+
+def test_box_grows_only_on_outgrown_axes(monkeypatch):
+    # Under 1 MB the box (219, 255) is admitted (220 x 256 points) but
+    # (219, 510) is not; growing the first axis must leave the second.
+    monkeypatch.setenv("OKLAB_MEMORY_LIMIT_MB", "1")
+    segre = GradedSemigroup.from_generators(
+        4, 2, [((1, 0, 0, 0), (1, 0)), ((0, 1, 0, 0), (1, 0)),
+               ((0, 0, 1, 0), (0, 1)), ((0, 0, 0, 1), (0, 1))])
+    assert segre.piece_size((100, 255)) == 101 * 256
+    assert segre.piece_size((219, 255)) == 56320
+    assert segre._counts.shape == (220, 256)

@@ -1,0 +1,185 @@
+"""Compiled staircase rules against the Fraction reference.
+
+``staircase_reference`` keeps the rules as they were evaluated before
+they were compiled to integers.  Each property draws random rules of all
+four kinds: Fraction forms (sometimes of the wrong length, which both
+read as zip does) and integer quadratic forms, positive semidefinite or
+not.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import staircase_reference as ref
+from oklab.algebra import MonomialAlgebra
+from oklab.errors import ValidationError
+from oklab.semigroup import BoundRule, GradedSemigroup, StaircaseSpec, \
+    _check_staircase_closure
+
+F = Fraction
+KINDS = ("linear", "max", "min", "ceil_sqrt_quadratic")
+
+
+@st.composite
+def rules(draw, s, kinds=KINDS, psd=None, coeff=3):
+    kind = draw(st.sampled_from(kinds))
+    if kind == "ceil_sqrt_quadratic":
+        entries = st.integers(-coeff, coeff)
+        if psd is None:
+            psd = draw(st.booleans())
+        if psd:
+            a = [[draw(entries) for _ in range(s)] for _ in range(s)]
+            rows = [[sum(a[k][i] * a[k][j] for k in range(s))
+                     for j in range(s)] for i in range(s)]
+        else:
+            rows = [[draw(entries) for _ in range(s)] for _ in range(s)]
+        return BoundRule(kind, quadratic=tuple(map(tuple, rows)))
+    length = draw(st.sampled_from([s, s, s, s + 1, max(s - 1, 0)]))
+    fracs = st.fractions(-coeff, coeff, max_denominator=6)
+    count = 1 if kind == "linear" else draw(st.integers(1, 3))
+    return BoundRule(kind, tuple(
+        tuple(draw(fracs) for _ in range(length)) for _ in range(count)))
+
+
+@st.composite
+def specs(draw, max_s=3, lower=KINDS, upper=KINDS, psd=None, coeff=3):
+    s = draw(st.integers(1, max_s))
+    return StaircaseSpec(s, draw(rules(s, lower, psd, coeff)),
+                         draw(rules(s, upper, psd, coeff)))
+
+
+def outcome(fn, *args):
+    """fn(*args), or the message of the ValidationError it raises."""
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        return ("raised", str(exc))
+
+
+@settings(max_examples=300)
+@given(specs(), st.data())
+def test_compiled_value_matches_reference(spec, data):
+    n = data.draw(st.tuples(*[st.integers(0, 20)] * spec.s))
+    for rule, side in ((spec.lower, "lower"), (spec.upper, "upper")):
+        assert outcome(rule.value, n, side) == \
+            outcome(ref.value, rule, n, side)
+
+
+@settings(max_examples=300)
+@given(specs(), st.data())
+def test_ray_staircase_matches_reference(spec, data):
+    ray = data.draw(st.tuples(*[st.integers(1, 4)] * spec.s))
+    n_max = data.draw(st.integers(0, 30))
+    on_ray = GradedSemigroup(1, spec.s, spec).veronese_ray(ray)
+    assert isinstance(on_ray.source, StaircaseSpec) and on_ray.s == 1
+    try:
+        want = [ref.bounds(spec, tuple(k * x for x in ray))
+                for k in range(n_max + 1)]
+    except ValidationError:
+        with pytest.raises(ValidationError, match="not positive"):
+            on_ray.counts_upto(n_max)
+        return
+    assert on_ray.counts_upto(n_max) == {
+        k: max(0, up - lo + 1) for k, (lo, up) in enumerate(want)}
+    assert [on_ray.source.bounds((k,)) for k in range(n_max + 1)] == want
+
+
+# Closed by construction: convex lower rules, concave upper rules.
+closed_specs = specs(lower=("linear", "max", "ceil_sqrt_quadratic"),
+                     upper=("linear", "min"), psd=True)
+
+
+@settings(max_examples=300)
+@given(st.one_of(closed_specs, specs()), st.integers(0, 5))
+# Q(0, 1) = Q(1, 0) = 1 but Q(1, 1) = -2: the first pair whose sum is
+# (1, 1) fails on the negative form, after (0, 1) + (0, 1) passes.
+@example(StaircaseSpec(2, BoundRule("ceil_sqrt_quadratic",
+                                    quadratic=((1, -4), (0, 1))),
+                       BoundRule("linear", ((F(2), F(2)),))), 1)
+# The presets: nonpoly and min are closed, a convex upper rule is not.
+@example(StaircaseSpec(2, BoundRule("ceil_sqrt_quadratic",
+                                    quadratic=((4, 0), (0, 4))),
+                       BoundRule("linear", ((F(2), F(2)),))), 8)
+@example(StaircaseSpec(2, BoundRule("linear", ((F(0), F(0)),)),
+                       BoundRule("min", ((F(1), F(0)), (F(0), F(1))))), 8)
+@example(StaircaseSpec(2, BoundRule("linear", ((F(0), F(0)),)),
+                       BoundRule("max", ((F(1), F(0)), (F(0), F(1))))), 8)
+# Numbers past int64.
+@example(StaircaseSpec(2, BoundRule("linear", ((F(-10 ** 30), F(0)),)),
+                       BoundRule("max", ((F(10 ** 30, 7), F(1)),
+                                         (F(1), F(10 ** 30))))), 5)
+@example(StaircaseSpec(2, BoundRule("ceil_sqrt_quadratic",
+                                    quadratic=((10 ** 30, 0), (0, 10 ** 30))),
+                       BoundRule("min", ((F(10 ** 30, 7), F(10 ** 30)),
+                                         (F(10 ** 30), F(10 ** 30))))), 5)
+def test_closure_check_matches_reference(spec, bound):
+    assert outcome(_check_staircase_closure, spec, bound) == \
+        outcome(ref.check_closure, spec, bound)
+
+
+def test_negative_form_along_the_ray_is_a_validation_error():
+    # Q(1, 1) = -2, so every k >= 1 along (1, 1) raises; no ValueError of
+    # math.isqrt may leak past the 0/2/3/4 exit codes.
+    spec = StaircaseSpec(2, BoundRule("ceil_sqrt_quadratic",
+                                      quadratic=((1, -4), (0, 1))),
+                         BoundRule("linear", ((F(2), F(2)),)))
+    on_ray = GradedSemigroup(1, 2, spec).veronese_ray((1, 1))
+    assert on_ray.counts_upto(0) == {0: 1}
+    for n_max in (1, 5):
+        with pytest.raises(ValidationError, match="not positive"):
+            on_ray.counts_upto(n_max)
+    with pytest.raises(ValidationError, match="not positive"):
+        on_ray.source.lower.line(5, "lower")
+
+
+# Non-polyhedral: a concave lower rule or a convex upper rule.
+nonpolyhedral = st.one_of(
+    specs(max_s=2, lower=("min", "ceil_sqrt_quadratic"), coeff=2),
+    specs(max_s=2, upper=("max", "ceil_sqrt_quadratic"), coeff=2))
+
+
+@settings(max_examples=60)
+@given(nonpolyhedral)
+def test_dimensions_from_endpoints_match_cone_rays(spec):
+    algebra = MonomialAlgebra(GradedSemigroup(1, spec.s, spec))
+    axes = range(1, spec.s + 1)
+    subsets = [set(c) for size in axes
+               for c in itertools.combinations(axes, size)]
+    got = [outcome(algebra.krull_dim)] + [
+        outcome(algebra.dim_subalgebra, j) for j in subsets]
+    assert got == [outcome(ref.dim_subalgebra, spec, j)
+                   for j in [set(axes)] + subsets]
+
+
+def test_veronese_of_polyhedral_staircase_has_exact_cone():
+    # The ray of a staircase is a staircase, so a polyhedral one gets the
+    # exact DD cone and fiber volumes; an enumerated inner cone over
+    # degrees <= 8 would stop at slope 25/8 < 178/55.
+    golden = MonomialAlgebra.from_staircase(StaircaseSpec(
+        1, BoundRule("linear", ((F(0),),)),
+        BoundRule("linear", ((F(89, 55),),))))
+    double = golden.veronese((2,))
+    cone, exact = double.global_no_cone()
+    assert exact and sorted(cone.rays) == [(0, 1), (178, 55)]
+    fv = double.volume_fn_fiber((1,))
+    assert (fv.value, fv.method) == (F(178, 55), "fiber")
+    min_alg = MonomialAlgebra.from_staircase(StaircaseSpec(
+        2, BoundRule("linear", ((F(0), F(0)),)),
+        BoundRule("min", ((F(1), F(0)), (F(0), F(1))))))
+    cone, exact = min_alg.veronese((2, 3)).global_no_cone()
+    assert exact and sorted(cone.rays) == [(0, 1), (2, 1)]
+
+
+def test_restricted_rules_in_closed_form():
+    rule = BoundRule("max", ((F(1, 2), F(1, 3)), (F(1), F(0))))
+    assert rule.restrict((2, 3)) == BoundRule("max", ((F(2),), (F(2),)))
+    quad = BoundRule("ceil_sqrt_quadratic", quadratic=((4, 1), (1, 4)))
+    assert quad.restrict((3, 4)).quadratic == ((4 * 9 + 2 * 12 + 4 * 16,),)
+    on_ray = StaircaseSpec(2, quad, rule).restrict((3, 4))
+    assert [on_ray.bounds((k,)) for k in range(4)] == [
+        (math.isqrt(124 * k * k - 1) + 1 if k else 0, 3 * k)
+        for k in range(4)]
