@@ -240,7 +240,11 @@ def build_parser():
     parser.add_argument("--pschedule", default="1,2,4,8",
                         help="comma-separated p ladder (default 1,2,4,8)")
     parser.add_argument("--bound", type=int, default=8,
-                        help="closure/decomposability bound (default 8)")
+                        help="degree bound for the enumerated cone of a "
+                             "non-polyhedral staircase (no-body, fiber) "
+                             "and for the decomposability check "
+                             "(mixed-mult); default 8. Staircase closure "
+                             "is always checked up to degree 8")
     return parser
 
 

@@ -8,8 +8,18 @@ fibers of cones and facet enumerations are obtained; the rays of a
 fiber are its vertices.  ``convex_hull`` scales the points to integers
 by one common denominator and runs one integer LP (``lp``) per point
 against a shrinking candidate set: a point in the hull of the other
-candidates is dropped at once, which leaves the hull unchanged.  Ranks,
-determinants and coordinates in a basis come from the fraction-free
+candidates is dropped at once, which leaves the hull unchanged.
+
+Rows enter double description as integers: the lifted vertices and the
+homogenized fiber rows are scaled once by a common denominator, and a
+positive multiple of a row has the same canonical ray, so the result is
+that of the rational rows.  ``integral_volume`` scales the vertices
+once by their common denominator times the product of the lattice's
+HNF pivots, so their coordinates in the lattice basis come out as
+integers by pivot substitution.  It triangulates those integer points,
+entering each facet by dropping one coordinate that its normal
+involves, and sums integer determinants over the one denominator
+scale^q * q!.  Ranks and determinants come from the fraction-free
 elimination kernel in ``lattice``.  Everything is exact; no
 floating-point anywhere in this module.
 """
@@ -17,12 +27,13 @@ floating-point anywhere in this module.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (DimensionMismatchError, InternalConsistencyError,
                      InvalidRayError, MeasureMismatchError, ValidationError)
-from .lattice import Sublattice, det, echelon, rational_rank, solve
+from .lattice import Sublattice, int_det, rational_rank, solve
 from .lp import in_convex_hull
 
 
@@ -46,11 +57,14 @@ def _affine_dim(points):
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))  # stops at the shorter, as zip
 
 
 def _canon_ray(v):
     """Primitive integer vector in the direction of rational ``v``."""
+    if all(type(x) is int for x in v):
+        g = math.gcd(*v)
+        return tuple(v) if g < 2 else tuple(x // g for x in v)
     denom = math.lcm(*(Fraction(x).denominator for x in v)) if v else 1
     w = [int(Fraction(x) * denom) for x in v]
     g = math.gcd(*(abs(x) for x in w)) if any(w) else 1
@@ -120,12 +134,6 @@ def dd_extreme_rays(ineqs, dim):
     return lines, rays
 
 
-def _independent_subset(vectors):
-    """The greedy-first maximal Q-independent subset of ``vectors``."""
-    _, pivots, _, _ = echelon(list(zip(*vectors)))
-    return [vectors[j] for j in pivots]
-
-
 @dataclass(slots=True)
 class Polytope:
     """Rational polytope given by its irredundant vertex set."""
@@ -177,6 +185,17 @@ def empty_polytope(ambient_dim):
     return Polytope((), ambient_dim, -1)
 
 
+def _integer_points(points, scale=1):
+    """(integer points, factor): the rational ``points`` times one factor.
+
+    The factor is ``scale`` times the common denominator of every
+    coordinate.
+    """
+    den = scale * math.lcm(*[x.denominator for p in points for x in p])
+    return [tuple([x.numerator * (den // x.denominator) for x in p])
+            for p in points], den
+
+
 def convex_hull(points):
     """Irredundant vertex set of conv(points)."""
     points = [rational_vector(p) for p in points]
@@ -187,9 +206,7 @@ def convex_hull(points):
         raise DimensionMismatchError(f"mixed point dimensions {sorted(dims)}")
     points = list(dict.fromkeys(points))
     n = len(points[0])
-    den = math.lcm(*[x.denominator for p in points for x in p])
-    ints = [tuple([x.numerator * (den // x.denominator) for x in p])
-            for p in points]
+    ints, _ = _integer_points(points)
     keep = list(range(len(ints)))
     for i in range(len(ints)):
         others = [ints[j] for j in keep if j != i]
@@ -203,7 +220,10 @@ def _polytope_hrep(poly):
     if poly.is_empty:
         zero = (0,) * poly.ambient_dim
         return (((zero, 1),), ())
-    lifted = [tuple(v) + (Fraction(1),) for v in poly.vertices]
+    # Each lifted row (v, 1) scaled by the common denominator: a positive
+    # multiple of a row leaves its canonical ray, so the DD run, unchanged.
+    ints, den = _integer_points(poly.vertices)
+    lifted = [v + (den,) for v in ints]
     lines, rays = dd_extreme_rays(lifted, poly.ambient_dim + 1)
     eqs = []
     for l in lines:
@@ -279,11 +299,13 @@ def cone_fiber(cone, split, x):
         raise DimensionMismatchError(f"fiber point has dim {len(x)} != {s}")
     eqs, ineqs = cone.hrep()
     # Homogenize in (y, t): substitute the degree block and keep t >= 0.
+    # Each row is scaled by the denominator of x, so it enters in integers.
+    (xs,), den = _integer_points([x])
     hom = []
     for a in ineqs:
-        hom.append(tuple(a[:r]) + (_dot(a[r:], x),))
+        hom.append(tuple([den * c for c in a[:r]]) + (_dot(a[r:], xs),))
     for a in eqs:
-        row = tuple(a[:r]) + (_dot(a[r:], x),)
+        row = tuple([den * c for c in a[:r]]) + (_dot(a[r:], xs),)
         hom.append(row)
         hom.append(tuple(-v for v in row))
     hom.append((0,) * r + (1,))
@@ -304,32 +326,36 @@ def cone_fiber(cone, split, x):
 
 
 def _facets_local(coords):
-    """Facets (a, a0) of a full-dimensional hull in local coordinates."""
+    """Facets (a, a0) of a full-dimensional hull of integer points."""
     k = len(coords[0])
-    lifted = [tuple(c) + (Fraction(1),) for c in coords]
+    lifted = [tuple(c) + (1,) for c in coords]
     _, rays = dd_extreme_rays(lifted, k + 1)
     return [(r[:-1], r[-1]) for r in rays if any(r[:-1])]
 
 
-def _triangulate(points):
-    """Simplices (as vertex tuples) triangulating conv(points)."""
-    p0 = points[0]
-    diffs = [tuple(x - y for x, y in zip(p, p0)) for p in points[1:]]
-    basis = _independent_subset(diffs)
-    k = len(basis)
-    if k == 0:
-        return [(p0,)]
-    if len(points) == k + 1:
-        return [tuple(points)]
-    coords = [solve(basis, tuple(x - y for x, y in zip(p, p0)))
-              for p in points]
+def _triangulate(points, idx):
+    """Simplices triangulating conv(points[i] for i in idx), as index tuples.
+
+    The indexed points are distinct integer vertices whose hull is full
+    dimensional.  Each facet a . x + a0 = 0 that misses the apex idx[0]
+    is coned from it.  The facet is triangulated in the coordinates left
+    after dropping one coordinate j with a_j != 0: that projection maps
+    its hyperplane affinely and bijectively onto the space of one
+    dimension less, so it keeps faces, apexes and simplices.
+    """
+    k = len(points[idx[0]])
+    if len(idx) == k + 1:
+        return [tuple(idx)]
+    apex = idx[0]
     simplices = []
-    for a, a0 in _facets_local(coords):
-        if _dot(a, coords[0]) + a0 == 0:
+    for a, a0 in _facets_local([points[i] for i in idx]):
+        if _dot(a, points[apex]) + a0 == 0:
             continue  # facet through the apex contributes no volume
-        fpts = [p for p, c in zip(points, coords) if _dot(a, c) + a0 == 0]
-        for tri in _triangulate(fpts):
-            simplices.append((p0,) + tri)
+        face = [i for i in idx if _dot(a, points[i]) + a0 == 0]
+        j = next(t for t, c in enumerate(a) if c)
+        projected = {i: points[i][:j] + points[i][j + 1:] for i in face}
+        for tri in _triangulate(projected, face):
+            simplices.append((apex,) + tri)
     return simplices
 
 
@@ -337,7 +363,10 @@ def integral_volume(poly, reference_lattice):
     """Volume of ``poly`` normalizing a cell of the lattice to 1.  Exact.
 
     The lattice rank must equal the affine dimension and span the same
-    direction space as the affine hull of ``poly``.
+    direction space as the affine hull of ``poly``.  The vertices are
+    scaled once by their common denominator times the product of the
+    lattice's HNF pivots, which makes every coordinate in the basis an
+    integer; the volume is then a sum of integer determinants.
     """
     if poly.is_empty:
         return Fraction(0)
@@ -347,23 +376,27 @@ def integral_volume(poly, reference_lattice):
             f"lattice rank {reference_lattice.rank} != affine dim {q}")
     if q == 0:
         return Fraction(1)
-    v0 = poly.vertices[0]
-    diffs = [tuple(x - y for x, y in zip(v, v0)) for v in poly.vertices[1:]]
-    basis = list(reference_lattice.basis)
-    if rational_rank(basis + diffs) != q:
+    basis = reference_lattice.basis
+    pivots = math.prod(row[c] for row, c in
+                       zip(basis, reference_lattice.pivot_columns()))
+    ints, scale = _integer_points(poly.vertices, pivots)
+    v0 = ints[0]
+    diffs = [tuple([x - y for x, y in zip(v, v0)]) for v in ints]
+    if rational_rank(list(basis) + diffs[1:]) != q:
         raise MeasureMismatchError(
             "lattice span differs from the affine hull directions")
     coords = []
-    for v in poly.vertices:
-        c = solve(basis, tuple(x - y for x, y in zip(v, v0)))
+    for d in diffs:
+        c = reference_lattice.coordinates(d)
         if c is None:
             raise MeasureMismatchError("vertex outside the lattice span")
         coords.append(tuple(c))
-    total = Fraction(0)
-    for simplex in _triangulate(coords):
-        rows = [[x - y for x, y in zip(p, simplex[0])] for p in simplex[1:]]
-        total += abs(det(rows))
-    return total / math.factorial(q)
+    total = 0
+    for simplex in _triangulate(coords, tuple(range(len(coords)))):
+        c0 = coords[simplex[0]]
+        total += abs(int_det([[x - y for x, y in zip(coords[i], c0)]
+                              for i in simplex[1:]]))
+    return Fraction(total, scale ** q * math.factorial(q))
 
 
 def standard_lattice(dim):

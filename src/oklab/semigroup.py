@@ -89,12 +89,25 @@ class BoundRule:
     denominator, so a linear, max or min bound is one floor or ceil
     division of integers; a square-root bound is one ``math.isqrt``.
     `restrict` gives a rule along a ray in closed form, and `line` reads
-    a rule on N at every degree up to n_max in one pass.
+    a rule on N at every degree up to n_max in one pass.  A rule of an
+    unknown kind, a piecewise-linear rule without forms and a square-root
+    rule without a square matrix raise ``ValidationError`` when built.
     """
 
     kind: str
     forms: tuple = ()      # tuple of coefficient tuples (Fractions)
     quadratic: tuple = ()  # integer matrix rows for the quadratic form
+
+    def __post_init__(self):
+        if self.kind == "ceil_sqrt_quadratic":
+            q = self.quadratic
+            if not q or any(len(row) != len(q) for row in q):
+                raise ValidationError(f"{self.kind} rule needs a nonempty "
+                                      f"square matrix, got {q!r}")
+        elif self.kind not in _PICKS:
+            raise ValidationError(f"unknown bound rule kind {self.kind!r}")
+        elif not self.forms:
+            raise ValidationError(f"{self.kind} rule needs at least one form")
 
     @functools.cached_property
     def _compiled(self):
@@ -116,11 +129,8 @@ class BoundRule:
 
     def _top(self, n):
         """(numerator, common denominator) of the picked form at n."""
-        pick = _PICKS.get(self.kind)
-        if pick is None:
-            raise ValidationError(f"unknown bound rule kind {self.kind!r}")
         nums, den = self._compiled
-        return pick(tuple(_dot(f, n) for f in nums)), den
+        return _PICKS[self.kind](tuple(_dot(f, n) for f in nums)), den
 
     def restrict(self, ray):
         """The rule k -> value(k * ray) on N, in closed form.

@@ -58,13 +58,22 @@ def _rule_to_json(rule):
     return out
 
 
-def _rule_from_json(obj):
-    kind = obj.get("kind")
-    forms = tuple(tuple(str_to_frac(c) for c in f)
-                  for f in obj.get("forms", []))
-    quadratic = tuple(tuple(int(x) for x in row)
-                      for row in obj.get("quadratic", []))
-    return BoundRule(kind=kind, forms=forms, quadratic=quadratic)
+def _rows(obj, key, cast, s):
+    """The rows under ``key`` (none when absent), each of length s."""
+    rows = obj.get(key, [])
+    if not isinstance(rows, list) or not all(
+            isinstance(row, list) and len(row) == s for row in rows):
+        raise ValidationError(f"staircase rule {key!r} must be a list of "
+                              f"rows of length s = {s}, got {rows!r}")
+    return tuple(tuple(cast(x) for x in row) for row in rows)
+
+
+def _rule_from_json(obj, s):
+    """A rule whose forms and matrix rows have length s; ``BoundRule``
+    itself checks that the forms are present and the matrix square."""
+    return BoundRule(kind=obj.get("kind"),
+                     forms=_rows(obj, "forms", str_to_frac, s),
+                     quadratic=_rows(obj, "quadratic", int, s))
 
 
 # -- algebras / semigroups ---------------------------------------------------
@@ -91,8 +100,9 @@ def algebra_from_json(obj):
         s = int(obj["s"])
         if "staircase" in obj:
             stair = obj["staircase"]
-            spec = StaircaseSpec(s=s, lower=_rule_from_json(stair["lower"]),
-                                 upper=_rule_from_json(stair["upper"]))
+            spec = StaircaseSpec(s=s,
+                                 lower=_rule_from_json(stair["lower"], s),
+                                 upper=_rule_from_json(stair["upper"], s))
         else:
             r = int(obj["r"])
             gens = [(tuple(int(x) for x in g["exp"]),

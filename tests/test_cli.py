@@ -189,6 +189,56 @@ def test_malformed_algebra_exits_2(tmp_path, capsys, payload):
     assert "Traceback" not in err
 
 
+MIN_UPPER = {"kind": "min", "forms": [["1", "0"], ["0", "1"]]}
+ZERO_LOWER = {"kind": "linear", "forms": [["0", "0"]]}
+
+
+def _staircase(lower, upper):
+    return {"s": 2, "staircase": {"lower": lower, "upper": upper}}
+
+
+MALFORMED_STAIRCASES = {
+    "linear-without-forms": _staircase({"kind": "linear"}, MIN_UPPER),
+    "max-empty-forms": _staircase(ZERO_LOWER, {"kind": "max", "forms": []}),
+    "min-empty-forms": _staircase(ZERO_LOWER, {"kind": "min", "forms": []}),
+    "quadratic-larger-than-s": _staircase(
+        {"kind": "ceil_sqrt_quadratic",
+         "quadratic": [[4, 0, 0], [0, 4, 0], [0, 0, 4]]}, MIN_UPPER),
+    "quadratic-ragged": _staircase(
+        {"kind": "ceil_sqrt_quadratic", "quadratic": [[4, 0], [0]]},
+        MIN_UPPER),
+    "quadratic-not-square": _staircase(
+        {"kind": "ceil_sqrt_quadratic", "quadratic": [[4, 0]]}, MIN_UPPER),
+    "form-longer-than-s": _staircase(
+        {"kind": "linear", "forms": [["0", "0", "1"]]}, MIN_UPPER),
+    "forms-not-a-list": _staircase({"kind": "linear", "forms": "00"},
+                                   MIN_UPPER),
+}
+
+
+@pytest.mark.parametrize("command", ["hilbert", "volume-fn"])
+@pytest.mark.parametrize("name", sorted(MALFORMED_STAIRCASES))
+def test_malformed_staircase_rule_exits_2(tmp_path, capsys, command, name):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(MALFORMED_STAIRCASES[name]))
+    code, _, err = run(capsys, command, "--input", str(path), "--x", "1,1")
+    assert code == 2
+    assert err.startswith(f"error ({command}): ")
+    assert "Traceback" not in err
+
+
+def test_bound_help_names_what_it_reaches(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "1000")  # no line breaks at hyphens
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "closure/decomposability" not in text
+    assert ("--bound BOUND degree bound for the enumerated cone of a "
+            "non-polyhedral staircase (no-body, fiber) and for the "
+            "decomposability check (mixed-mult); default 8. Staircase "
+            "closure is always checked up to degree 8") in text
+
+
 POWERS_BAD_VARS = {"family": {"powers": {"vars": "a", "gens": [[1]]}}}
 
 

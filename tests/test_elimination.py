@@ -1,8 +1,8 @@
 """Properties of the fraction-free elimination kernel in ``oklab.lattice``.
 
-Ranks, determinants, solutions and independent subsets are checked
-against the Fraction Gauss-Jordan references in ``elimination_reference``
-and, for determinants, against the Leibniz formula.
+Ranks, determinants and solutions are checked against the Fraction
+Gauss-Jordan references in ``elimination_reference`` and, for
+determinants, against the Leibniz formula.
 """
 
 import itertools
@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import elimination_reference as ref
 from oklab.errors import InternalConsistencyError
 from oklab.lattice import det, echelon, int_det, rational_rank, solve
-from oklab.polytope import _independent_subset, _solve_square
+from oklab.polytope import _solve_square
 
 F = Fraction
 SETTINGS = settings(max_examples=150)
@@ -131,12 +131,6 @@ def test_solve(data):
     if sol is not None:
         assert combination(sol, columns, dim) == target
         assert sol == ref.solve_in_basis(columns, target)
-
-
-@SETTINGS
-@given(matrices())
-def test_independent_subset_is_greedy_first(vectors):
-    assert _independent_subset(vectors) == ref.independent_subset(vectors)
 
 
 @SETTINGS

@@ -1,10 +1,12 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import elimination_reference as ref
+import volume_reference as vref
 from oklab.errors import (InvalidRayError, MeasureMismatchError,
                           ValidationError)
 from oklab.lattice import group_generated
@@ -249,3 +251,114 @@ def test_mixed_volume_is_minkowski_additive(p1, p2, q):
 @given(lattice_polygons())
 def test_mixed_volume_diagonal_is_twice_the_area(p):
     assert mixed_volume([p, p], (1, 1)) == 2 * volume_in_dim(p, 2)
+
+
+# -- integer volumes against the Fraction reference ---------------------------
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (MeasureMismatchError, ValidationError) as exc:
+        return ("raised", type(exc).__name__, str(exc))
+
+
+@st.composite
+def reference_lattices(draw, poly):
+    """A lattice to measure ``poly`` against: Z^d; a full-rank sublattice
+    of the lattice its edge directions generate; or a random lattice of
+    the same rank, which usually spans other directions."""
+    d = poly.ambient_dim
+    kind = draw(st.sampled_from(["standard", "directions", "random"]))
+    if kind == "standard":
+        return standard_lattice(d)
+    q = max(poly.affine_dim, 0)
+    if kind == "random":
+        return group_generated([[draw(st.integers(-2, 2)) for _ in range(d)]
+                                for _ in range(q)], d)
+    v0 = poly.vertices[0]
+    diffs = [[x - y for x, y in zip(v, v0)] for v in poly.vertices[1:]]
+    den = math.lcm(*(x.denominator for v in diffs for x in v))
+    basis = group_generated([[int(x * den) for x in v] for v in diffs],
+                            d).basis
+    # An upper triangular integer matrix with nonzero diagonal times the
+    # basis: a sublattice of full rank q.
+    rows = []
+    for i in range(q):
+        coeffs = [0] * i + [draw(st.integers(1, 3))] + \
+            [draw(st.integers(-2, 2)) for _ in range(q - i - 1)]
+        rows.append([sum(c * b[j] for c, b in zip(coeffs, basis))
+                     for j in range(d)])
+    return group_generated(rows, d)
+
+
+@settings(max_examples=200)
+@given(clouds(), st.data())
+def test_integral_volume_matches_fraction_reference(pts, data):
+    poly = convex_hull(pts)
+    lattice = data.draw(reference_lattices(poly))
+    got = outcome(integral_volume, poly, lattice)
+    assert got == outcome(vref.integral_volume, poly, lattice)
+    assert type(got) in (F, tuple)
+
+
+@settings(max_examples=100)
+@given(clouds())
+def test_halfspaces_match_fraction_rows(pts):
+    poly = convex_hull(pts)
+    assert poly.halfspaces() == vref.polytope_hrep(poly)
+
+
+@settings(max_examples=100)
+@given(fibers())
+def test_cone_fiber_matches_fraction_rows(case):
+    assert outcome(cone_fiber, *case) == outcome(vref.cone_fiber, *case)
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _pick_area(vertices):
+    """I + B/2 - 1 from the lattice points of a lattice polygon.
+
+    An edge is a vertex pair with every other vertex strictly on one
+    side; a point is in the polygon when it is on that side of, or on,
+    every edge line, and on the boundary when it is on one of them.
+    """
+    edges = []
+    for u, v in itertools.combinations(vertices, 2):
+        sides = {_cross(u, v, w) > 0 for w in vertices if w not in (u, v)}
+        if len(sides) == 1:
+            edges.append((u, v, sides.pop()))
+    interior = boundary = 0
+    lo = [min(v[i] for v in vertices) for i in range(2)]
+    hi = [max(v[i] for v in vertices) for i in range(2)]
+    for p in itertools.product(range(int(lo[0]), int(hi[0]) + 1),
+                               range(int(lo[1]), int(hi[1]) + 1)):
+        c = [_cross(u, v, p) for u, v, _ in edges]
+        if any(x != 0 and (x > 0) != side
+               for x, (_, _, side) in zip(c, edges)):
+            continue
+        if 0 in c:
+            boundary += 1
+        else:
+            interior += 1
+    return interior + F(boundary, 2) - 1
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                min_size=3, max_size=7))
+def test_lattice_polygon_area_is_picks(pts):
+    poly = convex_hull(pts)
+    if poly.affine_dim < 2:
+        return
+    assert volume_in_dim(poly, 2) == _pick_area(poly.vertices)
+
+
+@settings(max_examples=60)
+@given(lattice_polygons(), lattice_polygons(), st.integers(0, 3))
+def test_mixed_volume_is_homogeneous(p, q, c):
+    assert mixed_volume([p.scale(c), q], (1, 1)) == \
+        c * mixed_volume([p, q], (1, 1))

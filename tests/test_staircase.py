@@ -183,3 +183,18 @@ def test_restricted_rules_in_closed_form():
     assert [on_ray.bounds((k,)) for k in range(4)] == [
         (math.isqrt(124 * k * k - 1) + 1 if k else 0, 3 * k)
         for k in range(4)]
+
+
+@pytest.mark.parametrize("kind, forms, quadratic", [
+    ("linear", (), ()),
+    ("max", (), ()),
+    ("min", (), ()),
+    ("ceil_sqrt_quadratic", (), ()),
+    ("ceil_sqrt_quadratic", (), ((4, 0), (0,))),
+    ("ceil_sqrt_quadratic", (), ((4, 0),)),
+    ("cubic", ((F(1),),), ()),
+    (None, ((F(1),),), ()),
+])
+def test_malformed_rules_raise_when_built(kind, forms, quadratic):
+    with pytest.raises(ValidationError):
+        BoundRule(kind, forms, quadratic)
