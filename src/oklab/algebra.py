@@ -22,7 +22,7 @@ from .lattice import group_generated
 from .polytope import (MultidegreePolynomial, Sublattice, compositions,
                        cone_fiber, dd_extreme_rays, integral_volume,
                        make_cone, _solve_square)
-from .semigroup import GradedSemigroup, StaircaseSpec, tail_fit
+from .semigroup import Generators, GradedSemigroup, StaircaseSpec, tail_fit
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,8 @@ class MonomialAlgebra:
         return cls(GradedSemigroup.from_generators(r, s, gens))
 
     @classmethod
-    def from_staircase(cls, spec, closure_bound=8):
-        return cls(GradedSemigroup.from_staircase(spec, closure_bound))
+    def from_staircase(cls, spec):
+        return cls(GradedSemigroup.from_staircase(spec))
 
     @property
     def r(self):
@@ -101,15 +101,15 @@ class MonomialAlgebra:
         """(cone, exact) for the global Newton-Okounkov cone Delta(A).
 
         Rays carry the valuation block first and the degree block last.
-        Piecewise-linear staircases get an exact H-representation;
-        square-root staircases only an inner approximation from
-        enumerated points (exact = False).
+        Piecewise-linear staircases get an exact H-representation; other
+        rule sources only an inner approximation from the points of
+        degree <= bound (exact = False), as `_is_polyhedral` tells.
         """
         src = self.semigroup.source
         if self.is_generated:
             rays = [val + deg for val, deg in self.semigroup.generators]
             return make_cone(rays, self.r + self.s), True
-        if isinstance(src, StaircaseSpec) and _is_polyhedral(src):
+        if _is_polyhedral(src):
             ineqs = []
             dim = 1 + src.s
             for f in src.lower.forms:
@@ -149,46 +149,44 @@ class MonomialAlgebra:
                        for i in range(self.s) if i + 1 not in axes)]
         return group_generated(vecs, self.r + self.s).rank
 
-    def _generator_vectors(self, bound=8):
+    def _generator_vectors(self):
         """Vectors spanning the group of A, or of an A_(J) by support.
 
         A non-polyhedral staircase gives the piece endpoints (lo(n), n)
-        and (up(n), n) for 1 <= |n| <= bound: every piece point lies
-        between them, so they span what the enumerated cone's rays span,
-        and so does each degree face.
+        and (up(n), n) for 1 <= |n| <= 8: every piece point lies between
+        them, so they span what the enumerated cone's rays span, and so
+        does each degree face.
         """
         src = self.semigroup.source
         if self.is_generated:
             return [val + deg for val, deg in self.semigroup.generators]
         if isinstance(src, StaircaseSpec) and not _is_polyhedral(src):
-            return [(j,) + n for t in range(1, bound + 1)
+            return [(j,) + n for t in range(1, 9)
                     for n in compositions(t, self.s)
                     for lo, up in [src.bounds(n)] if lo <= up
                     for j in (lo, up)]
-        cone, _ = self.global_no_cone(bound)
+        cone, _ = self.global_no_cone()
         return list(cone.rays)
 
-    def volume_fn_fiber(self, x, bound=8):
-        """F_A(x) = Vol_q(Delta(A)_x) / ind(A); exact when polyhedral."""
+    def volume_fn_fiber(self, x):
+        """F_A(x) = Vol_q(Delta(A)_x) / ind(A); exact when polyhedral,
+        else a counting estimate, with no cone built (`_is_polyhedral`)."""
         x = [Fraction(v) for v in x]
         if len(x) != self.s:
             raise ValidationError(f"point {x} must have length {self.s}")
         if not all(self.axis_nonvanishing()):
             raise UnsupportedSemigroupError(
                 "volume function needs nonzero pieces on every axis")
-        cone, exact = self.global_no_cone(bound)
-        if not exact:
-            lam = math.lcm(*(v.denominator for v in x))
-            n = tuple(int(v * lam) for v in x)
-            q = self.krull_dim() - self.s
+        lam = math.lcm(*(v.denominator for v in x))
+        n = tuple(int(v * lam) for v in x)
+        q = self.krull_dim() - self.s
+        if not _is_polyhedral(self.semigroup.source):
             est = self.volume_fn_count(n, n_max=200)
             return FiberVolume(est / float(lam) ** q, "estimate")
-        q = self.krull_dim() - self.s
+        cone, _ = self.global_no_cone()
         fiber = cone_fiber(cone, (self.r, self.s), x)
         if fiber.affine_dim < q:
             return FiberVolume(Fraction(0), "fiber")
-        lam = math.lcm(*(v.denominator for v in x))
-        n = tuple(int(v * lam) for v in x)
         if any(v <= 0 for v in n):
             raise ValidationError(f"point {x} must be positive")
         inv = self.semigroup.veronese_ray(n).invariants()
@@ -288,8 +286,9 @@ class MonomialAlgebra:
         """Mixed multiplicity e(d; A) via the ladder of p-subalgebras."""
         d = tuple(int(x) for x in d)
         q = self.krull_dim() - self.s
-        if sum(d) != q:
-            raise ValidationError(f"type {d} must have total degree q={q}")
+        if len(d) != self.s or min(d) < 0 or sum(d) != q:
+            raise ValidationError(f"type {d} must be in N^{self.s} with "
+                                  f"total degree q={q}")
         ok, witness = self.is_decomposable(decomp_bound)
         if not ok:
             raise ValidationError(
@@ -309,22 +308,39 @@ class MonomialAlgebra:
         """(flag, certificate) for e(d; A) > 0 via subset dimensions.
 
         Positive iff for every nonempty subset J of the axes,
-        sum_{j in J} d_j <= dim(A_(J)) - |J|.  The certificate is the
-        first violated subset, or None.
+        sum_{j in J} d_j <= dim(A_(J)) - |J| (`subset_positivity`).  The
+        certificate is the first violated subset, or None.
         """
         d = tuple(int(x) for x in d)
-        axes = list(range(1, self.s + 1))
-        for size in range(1, self.s + 1):
-            for subset in combinations(axes, size):
-                lhs = sum(d[j - 1] for j in subset)
-                if lhs > self.dim_subalgebra(subset) - size:
-                    return False, subset
-        return True, None
+        if len(d) != self.s:
+            raise ValidationError(f"type {d} must have length {self.s}")
+        return subset_positivity(
+            d, lambda sub: self.dim_subalgebra(sub) - len(sub))
 
 
-def _is_polyhedral(spec):
-    return spec.lower.kind in ("linear", "max") and \
-        spec.upper.kind in ("linear", "min")
+def subset_positivity(d, rank):
+    """(flag, certificate): sum_{j in J} d_j <= rank(J) for every J?
+
+    The paper's one positivity criterion.  J runs over the nonempty
+    subsets of the axes 1..len(d) by size, then in ``combinations``
+    order; the certificate is the first J that fails, or None, and
+    ``rank`` is called on no J after it.
+    """
+    axes = range(1, len(d) + 1)
+    for size in axes:
+        for sub in combinations(axes, size):
+            if sum(d[j - 1] for j in sub) > rank(sub):
+                return False, sub
+    return True, None
+
+
+def _is_polyhedral(source):
+    """Whether Delta of a source is exact: generators, or a staircase
+    with piecewise-linear convex lower and concave upper bounds."""
+    if isinstance(source, StaircaseSpec):
+        return source.lower.kind in ("linear", "max") and \
+            source.upper.kind in ("linear", "min")
+    return isinstance(source, Generators)
 
 
 def ladder_report(d, rung, p_schedule, positive):
@@ -334,9 +350,9 @@ def ladder_report(d, rung, p_schedule, positive):
     Richardson step extrapolates, since the ladder converges with O(1/p)
     error.  ``positive(value)`` gives the positivity flag.
     """
-    if len(p_schedule) < 2:
-        raise ValidationError(
-            f"p-schedule {tuple(p_schedule)} needs at least two rungs")
+    if len(p_schedule) < 2 or min(p_schedule) < 1:
+        raise ValidationError(f"p-schedule {tuple(p_schedule)} needs at "
+                              "least two rungs, each p >= 1")
     ladder = tuple((p, rung(p)) for p in p_schedule)
     last, prev = ladder[-1][1], ladder[-2][1]
     if last == prev:

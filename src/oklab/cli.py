@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 validation error, 3 resource limit,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -215,6 +216,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # parsing leaves the parser as it was
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="oklab",

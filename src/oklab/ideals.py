@@ -18,16 +18,18 @@ homogenization of a convex body.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
 from .errors import ResourceLimitError, UnsupportedIdealError, \
     ValidationError, memory_limit_bytes
-from .polytope import compositions, convex_hull, mixed_volume
-from .algebra import _stable_fit, ladder_report
+from .polytope import convex_hull, minkowski_sum, mixed_volume
+from .algebra import _stable_fit, ladder_report, subset_positivity
 from .semigroup import tail_fit
 
 
@@ -180,20 +182,23 @@ def _mpower_colengths(gap, cs):
 _FAR = np.iinfo(np.int32).max // 2
 
 
-def _guard_grid(shape, bytes_per_point, what="quotient grid"):
+def _guard_grid(shape, bytes_per_point):
     if math.prod(shape) * bytes_per_point > memory_limit_bytes():
         raise ResourceLimitError(
-            f"{what} {'x'.join(map(str, shape))} exceeds the memory guard")
+            f"quotient grid {'x'.join(map(str, shape))} exceeds the memory "
+            "guard")
 
 
-def quotient_dim(num, den, c_cap=4096):
+def quotient_dim(num, den):
     """dim_k of (num / den) as a monomial count; exact.
 
-    Requires den <= num and a cofinality certificate: a power c with
-    m^c * num contained in den, so the count is finite and the
-    enumeration box [0, maxcoord(num) + c]^d is provably complete.
-    Since den <= num the count is #num - #den on the box, one grid at a
-    time.
+    Requires den <= num.  A monomial a of the quotient lies above some
+    generator g of num, so a_i < g_i + k_i(g) on every axis i, where
+    k_i(g), the least k with g + k e_i in den, is the least
+    max(0, h_i - g_i) over the generators h of den with h_j <= g_j for
+    j != i.  With no such h the quotient holds the ray g + k e_i
+    (``ValidationError``); else the box with sides max_g (g_i + k_i(g))
+    holds it, and the count is #num - #den there, one grid at a time.
     """
     d = num.num_vars
     if den.num_vars != d:
@@ -205,17 +210,17 @@ def quotient_dim(num, den, c_cap=4096):
     if den.is_zero:
         raise ValidationError("the zero denominator leaves the quotient "
                               "infinite-dimensional")
-    c = 1
-    while c <= c_cap:
-        if _mpower_times_contained(num, den, c):
-            break
-        c *= 2
-    else:
-        raise ValidationError(
-            f"no cofinality certificate m^c*num <= den up to c={c_cap}; "
-            "the quotient is not finite-dimensional")
-    maxcoord = max(max(g) for g in num.min_gens)
-    shape = (maxcoord + c + 1,) * d
+    shape = [0] * d
+    for g in num.min_gens:
+        for i, gi in enumerate(g):
+            ks = [max(0, h[i] - gi) for h in den.min_gens
+                  if all(x <= y for j, (x, y) in enumerate(zip(h, g))
+                         if j != i)]
+            if not ks:
+                raise ValidationError(
+                    f"x^{list(g)} x_{i + 1}^k lies outside the denominator "
+                    "for every k; the quotient is not finite-dimensional")
+            shape[i] = max(shape[i], gi + min(ks))
     _guard_grid(shape, 1)
     return _closure_count(num, shape) - _closure_count(den, shape)
 
@@ -244,21 +249,6 @@ def _as_m_power(ideal):
         return None
     expected = math.comb(deg + ideal.num_vars - 1, ideal.num_vars - 1)
     return deg if len(ideal.min_gens) == expected else None
-
-
-def _mpower_times_contained(num, den, c):
-    """Certify m^c * num <= den by checking all generators g + e, |e|=c."""
-    d = num.num_vars
-    maxc = max(max(g) for g in den.min_gens) + c + 1
-    side = max(max(max(g) for g in num.min_gens) + c + 1, maxc)
-    _guard_grid((side,) * d, 1, "certificate grid")
-    grid_den = _closure_grid(den.min_gens, (side,) * d)
-    shell = compositions(c, d)
-    for g in num.min_gens:
-        for e in shell:
-            if not grid_den[tuple(a + b for a, b in zip(g, e))]:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +370,8 @@ def _lattice_points(poly):
     return out
 
 
-def body_to_family(body, h, check_bound=3):
-    return BodyFamily(body, h).check(check_bound)
+def body_to_family(body, h):
+    return BodyFamily(body, h).check(3)
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +513,13 @@ def fixed_ideal_mixed_multiplicities(ideal_i, ideals_j):
 def family_mixed_multiplicities(ifam, jfams, dtype, p_schedule=(1, 2, 4)):
     """e_{(d0,d)} of the families via the ladder over fixed-p ideals."""
     d = ifam.num_vars
+    if any(f.num_vars != d for f in jfams):
+        raise ValidationError("families live in different rings")
     d0, dvec = dtype[0], tuple(dtype[1:])
-    if d0 + sum(dvec) != d - 1:
+    if len(dvec) != len(jfams) or min(dtype) < 0 or d0 + sum(dvec) != d - 1:
         raise ValidationError(
-            f"type {dtype} must satisfy d0 + |d| = {d - 1}")
+            f"type {dtype} must be in N^{len(jfams) + 1} with "
+            f"d0 + |d| = {d - 1}")
 
     def rung(p):
         mm = fixed_ideal_mixed_multiplicities(
@@ -549,51 +542,42 @@ def analytic_spread(ideal):
                             for g in ideal.min_gens]).affine_dim
 
 
-def family_positivity(jfams, dtype, p_start=1):
+def family_positivity(jfams, dtype):
     """Positivity of e_{(d0,d)}(M | families) with a certificate.
 
     Checks, for every nonempty subset of the families, that
     sum of d_j <= l(prod_j J(j)_p) - 1, at a p where the analytic
-    spreads have stabilized (identical at p and 2p).
+    spreads have stabilized (identical at p and 2p, from p = 1), by
+    `subset_positivity`.
     """
-    from itertools import combinations
     s = len(jfams)
-    d0, dvec = dtype[0], tuple(dtype[1:])
+    dvec = tuple(dtype[1:])
+    if len(dvec) != s:
+        raise ValidationError(f"type {tuple(dtype)} must have {s + 1} "
+                              "entries, d0 and one per family")
     subsets = [c for k in range(1, s + 1)
-               for c in combinations(range(s), k)]
+               for c in combinations(range(1, s + 1), k)]
 
     def spreads(p):
-        out = {}
-        for sub in subsets:
-            prod = jfams[sub[0]].ideal(p)
-            for j in sub[1:]:
-                prod = product(prod, jfams[j].ideal(p))
-            out[sub] = analytic_spread(prod)
-        return out
+        return {sub: analytic_spread(functools.reduce(
+            product, (jfams[j - 1].ideal(p) for j in sub)))
+            for sub in subsets}
 
-    p = p_start
-    cur = spreads(p)
-    while True:
-        nxt = spreads(2 * p)
-        if nxt == cur:
-            break
+    p, cur = 1, spreads(1)
+    while (nxt := spreads(2 * p)) != cur:
         cur, p = nxt, 2 * p
         if p > 64:
             raise ValidationError(
                 "analytic spreads did not stabilize up to p=64")
-    for sub in subsets:
-        lhs = sum(dvec[j] for j in sub)
-        if lhs > cur[sub] - 1:
-            return False, tuple(j + 1 for j in sub)
-    return True, None
+    return subset_positivity(dvec, lambda sub: cur[sub] - 1)
 
 
 def mixed_volume_via_ideals(bodies, dvec, p_schedule=(1, 2, 4)):
     """Mixed volume two ways: ideal-family ladder vs exact polynomial.
 
     Returns the ideal-side estimate, the exact geometric mixed volume,
-    and both positivity verdicts (Minkowski-sum dimensions vs analytic
-    spreads) for cross-checking.
+    and both positivity verdicts (`subset_positivity` on Minkowski-sum
+    dimensions vs analytic spreads) for cross-checking.
     """
     if not bodies:
         raise ValidationError("need at least one body")
@@ -608,19 +592,9 @@ def mixed_volume_via_ideals(bodies, dvec, p_schedule=(1, 2, 4)):
     report = family_mixed_multiplicities(
         ifam, jfams, (0,) + dvec, p_schedule)
     geometric = mixed_volume(bodies, dvec)
-    from itertools import combinations
-    geo_positive, geo_cert = True, None
-    for k in range(1, len(bodies) + 1):
-        for sub in combinations(range(len(bodies)), k):
-            total = bodies[sub[0]]
-            for j in sub[1:]:
-                from .polytope import minkowski_sum
-                total = minkowski_sum(total, bodies[j])
-            if sum(dvec[j] for j in sub) > total.affine_dim:
-                geo_positive, geo_cert = False, tuple(j + 1 for j in sub)
-                break
-        if not geo_positive:
-            break
+    geo_positive, geo_cert = subset_positivity(
+        dvec, lambda sub: functools.reduce(
+            minkowski_sum, (bodies[j - 1] for j in sub)).affine_dim)
     fam_positive, fam_cert = family_positivity(jfams, (0,) + dvec)
     return {
         "ideal_side": float(report.value),

@@ -165,12 +165,6 @@ class Polytope:
         return (all(_dot(a, point) == b for a, b in eqs) and
                 all(_dot(a, point) >= b for a, b in ineqs))
 
-    def translate(self, vec):
-        vec = rational_vector(vec)
-        return Polytope(tuple(tuple(x + y for x, y in zip(v, vec))
-                              for v in self.vertices),
-                        self.ambient_dim, self.affine_dim)
-
     def scale(self, factor):
         factor = Fraction(factor)
         if factor == 0:

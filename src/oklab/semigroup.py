@@ -341,7 +341,6 @@ class GradedSemigroup:
         self._memo_points = 1
         # Piece counts over the box [0, top], grown on demand by doubling.
         self._counts = np.ones((1,) * s, dtype=np.int64)
-        self._inv_cache = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -360,8 +359,8 @@ class GradedSemigroup:
         return cls(r, s, Generators(tuple(norm)))
 
     @classmethod
-    def from_staircase(cls, spec, closure_bound=8):
-        _check_staircase_closure(spec, closure_bound)
+    def from_staircase(cls, spec):
+        _check_staircase_closure(spec, 8)
         return cls(1, spec.s, spec)
 
     def veronese_ray(self, ray):
@@ -493,18 +492,23 @@ class GradedSemigroup:
 
     # -- invariants and bodies -----------------------------------------------
 
-    def proxy_generators(self, bound=8):
-        """Generator list; enumerated points for rule-defined sources.
+    def proxy_generators(self):
+        """(generator list, empirical), computed once per semigroup.
 
-        Rule-defined sources get points of degree <= bound, doubling the
-        bound until the generated group stabilizes (empirical).
+        Rule-defined sources get their points of degree <= 8, doubling
+        the degree until the generated group stabilizes (empirical).
         """
+        return self._proxy
+
+    @functools.cached_property
+    def _proxy(self):
         if self.is_generated:
             return list(self.generators), False
         if self.s != 1:
             raise UnsupportedSemigroupError(
                 "proxy generators need a singly graded source")
         prev_basis = None
+        bound = 8
         while True:
             pts = []
             for n in range(1, bound + 1):
@@ -516,15 +520,17 @@ class GradedSemigroup:
             prev_basis = basis
             bound *= 2
 
-    def invariants(self, bound=8):
-        """G, m, ind, strong non-negativity and L-dimension (s = 1)."""
+    def invariants(self):
+        """G, m, ind, strong non-negativity and L-dimension (s = 1); once."""
         if self.s != 1:
             raise UnsupportedSemigroupError(
                 "invariants are defined on singly graded semigroups; "
                 "restrict through veronese_ray first")
-        if self._inv_cache is not None:
-            return self._inv_cache
-        gens, empirical = self.proxy_generators(bound)
+        return self._invariants
+
+    @functools.cached_property
+    def _invariants(self):
+        gens, empirical = self.proxy_generators()
         vecs = [val + deg for val, deg in gens]
         lat = group_generated(vecs, self.r + 1)
         m = math.gcd(*(deg[0] for _, deg in gens)) if gens else 0
@@ -536,7 +542,7 @@ class GradedSemigroup:
         inner = group_generated([lat.member(c) for c in ker.basis],
                                 self.r + 1)
         ind = subgroup_index(inner, boundary)
-        result = {
+        return {
             "G": lat,
             "m": m,
             "ind": ind,
@@ -548,22 +554,18 @@ class GradedSemigroup:
             "L_dim": lat.rank,
             "empirical": empirical,
         }
-        self._inv_cache = result
-        return result
 
-    def okounkov_body(self, bound=8):
+    def okounkov_body(self):
         """Slice of the generated cone at degree m(S); a Polytope."""
-        inv = self.invariants(bound)
-        gens, _ = self.proxy_generators(bound)
-        m = inv["m"]
+        m = self.invariants()["m"]
         pts = [tuple(Fraction(m * x, deg[0]) for x in val) + (Fraction(m),)
-               for val, deg in gens]
+               for val, deg in self.proxy_generators()[0]]
         return convex_hull(pts)
 
-    def kk_limit_check(self, n_max=500, bound=8):
+    def kk_limit_check(self, n_max=500):
         """Empirical vs predicted growth of #[S]_{nm} (s = 1)."""
-        inv = self.invariants(bound)
-        body = self.okounkov_body(bound)
+        inv = self.invariants()
+        body = self.okounkov_body()
         q = body.affine_dim
         vol = integral_volume(body, inv["boundary_lattice"])
         predicted = vol / inv["ind"]

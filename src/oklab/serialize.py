@@ -197,10 +197,6 @@ def family_from_json(obj):
                           "explicit")
 
 
-def ladder_to_json(ladder):
-    return [{"p": p, "value": frac_to_str(v)} for p, v in ladder]
-
-
 # -- report writers ----------------------------------------------------------
 
 def _scalar(value):

@@ -2,8 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oklab.algebra import MonomialAlgebra, _stable_fit, ladder_report
+from oklab.algebra import (MonomialAlgebra, _stable_fit, ladder_report,
+                           subset_positivity)
 from oklab.errors import RegularityNotReachedError, ValidationError
 from oklab.polytope import cone_fiber
 from oklab.semigroup import BoundRule, StaircaseSpec
@@ -225,6 +227,32 @@ def test_positivity():
     line = MonomialAlgebra.from_generators(2, 1, [((1, 0), (1,)),
                                                   ((0, 1), (1,))])
     assert line.positivity((1,)) == (True, None)
+
+
+@settings(max_examples=200)
+@given(d=st.lists(st.integers(0, 3), min_size=1, max_size=4),
+       data=st.data())
+def test_subset_positivity_matches_all_subsets(d, data):
+    # Subsets as bitmasks over the axes, independent of combinations().
+    s = len(d)
+    rank_of = {mask: data.draw(st.integers(-1, 6))
+               for mask in range(1, 2 ** s)}
+
+    def axes(mask):
+        return tuple(j + 1 for j in range(s) if mask >> j & 1)
+
+    calls = []
+
+    def rank(sub):
+        calls.append(sub)
+        return rank_of[sum(1 << (j - 1) for j in sub)]
+
+    failing = [axes(mask) for mask, r in rank_of.items()
+               if sum(d[j - 1] for j in axes(mask)) > r]
+    first = min(failing, key=lambda sub: (len(sub), sub), default=None)
+    assert subset_positivity(tuple(d), rank) == (first is None, first)
+    # Nothing is computed past the first failing subset.
+    assert first is None or calls[-1] == first
 
 
 def test_fujita_ladder_golden():

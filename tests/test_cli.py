@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import os
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oklab.cli import main
 from oklab.serialize import (algebra_from_json, algebra_to_json,
@@ -10,7 +15,7 @@ from oklab.serialize import (algebra_from_json, algebra_to_json,
 from oklab.ideals import (PowersFamily, maximal_ideal, monomial_ideal,
                           body_to_family)
 from oklab.polytope import convex_hull
-from oklab.presets import preset
+from oklab.presets import PRESETS, preset
 from oklab.errors import ValidationError
 
 from fractions import Fraction
@@ -299,6 +304,36 @@ def test_single_rung_ideal_family_exits_2(tmp_path, capsys):
     assert "two rungs" in err
 
 
+SEGMENTS = {"bodies": [{"vertices": [[0, 0], [1, 0]]},
+                       {"vertices": [[0, 0], [0, 1]]}]}
+MIXED_RINGS = {"I": {"family": {"powers": {"vars": 2,
+                                            "gens": [[1, 0], [0, 1]]}}},
+               "J": [{"family": {"powers": {"vars": 1, "gens": [[1]]}}}]}
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["positivity", "--example", "segre", "--type", "1"], None),
+    (["positivity", "--example", "segre", "--type", "1,0,0"], None),
+    (["mixed-mult", "--example", "segre", "--type", "1,1,0"], None),
+    (["mixed-mult", "--example", "segre", "--type=-1,3"], None),
+    (["mixed-mult", "--example", "segre", "--type", "1,1",
+      "--pschedule", "0,1"], None),
+    (["mixed-volume", "--type", "1,1,0"], SEGMENTS),
+    (["mixed-volume", "--type", "2"], SEGMENTS),
+    (["ideal-family", "--type", "0,1"], MIXED_RINGS),
+], ids=["positivity-short", "positivity-long", "mixed-mult-long",
+        "mixed-mult-negative", "rung-zero", "mixed-volume-long",
+        "mixed-volume-short", "ideal-family-rings"])
+def test_malformed_type_exits_2(tmp_path, capsys, argv, payload):
+    if payload is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        argv = argv + ["--input", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2, out
+    assert "Traceback" not in err
+
+
 def test_unknown_preset_listed():
     with pytest.raises(ValidationError) as info:
         preset("nope")
@@ -342,3 +377,116 @@ def test_non_m_primary_ideal_family_exits_2(tmp_path, capsys, gens):
                        "--type", f"1,{d - 2}", "--pschedule", "1,2")
     assert code == 2
     assert "not m-primary" in err
+
+
+# -- exit-code contract under random input ------------------------------------
+
+_N = st.integers(0, 2)
+_RAT = st.sampled_from(["0", "1", "2", "1/2", "3/2", "-1"])
+
+
+def _points(cell, length, min_size=0):
+    return st.lists(st.lists(cell, min_size=length, max_size=length),
+                    min_size=min_size, max_size=3)
+
+
+@st.composite
+def _algebra(draw):
+    s = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        rule = st.fixed_dictionaries(
+            {"kind": st.sampled_from(["linear", "max", "min",
+                                      "ceil_sqrt_quadratic"])},
+            optional={"forms": _points(_RAT, s, 1),
+                      "quadratic": _points(_N, s, s)})
+        return {"s": s, "staircase": {"lower": draw(rule),
+                                      "upper": draw(rule)}}
+    r = draw(st.integers(0, 2))
+    gens = st.fixed_dictionaries({"exp": st.lists(_N, min_size=r,
+                                                  max_size=r),
+                                  "deg": st.lists(_N, min_size=s,
+                                                  max_size=s)})
+    return {"r": r, "s": s,
+            "generators": draw(st.lists(gens, min_size=1, max_size=4))}
+
+
+def _family(d):
+    ideal = st.fixed_dictionaries({"vars": st.just(d),
+                                   "gens": _points(_N, d, 1)})
+    unit = {"vars": d, "gens": [[0] * d]}
+    body = st.fixed_dictionaries({
+        "vertices": _points(st.sampled_from(["0", "1", "1/2"]), d - 1, 1),
+        "h": st.integers(0, 3)})
+    return st.fixed_dictionaries({"family": st.one_of(
+        st.fixed_dictionaries({"powers": ideal}),
+        st.fixed_dictionaries({"explicit": st.lists(ideal, max_size=3).map(
+            lambda rest: [unit] + rest)}),
+        st.fixed_dictionaries({"from_body": body}))})
+
+
+@st.composite
+def _families(draw):
+    """I and J families in one ring of 2 or 3 variables."""
+    d = draw(st.integers(2, 3))
+    return {"I": draw(_family(d)),
+            "J": draw(st.lists(_family(d), min_size=1, max_size=2))}
+
+
+_BODY = st.fixed_dictionaries(
+    {"vertices": _points(st.sampled_from(["0", "1", "2", "1/2"]), 2, 1)})
+_JSON = st.recursive(st.none() | st.booleans() | _N | _RAT,
+                     lambda inner: st.lists(inner, max_size=3) |
+                     st.dictionaries(st.sampled_from(["s", "r", "I", "J"]),
+                                     inner, max_size=3), max_leaves=6)
+_VECTOR = st.one_of(
+    st.lists(st.sampled_from(["0", "1", "2", "1/2"]), min_size=1,
+             max_size=3).map(",".join),
+    st.sampled_from(["-1,1", "1,a", "1/0", ""]))
+
+# Per command: the input it reads, or None for the presets.
+_FUZZ_INPUTS = {
+    "hilbert": _algebra(), "volume-fn": _algebra(), "no-body": _algebra(),
+    "fiber": _algebra(), "mixed-mult": _algebra(),
+    "positivity": _algebra(),
+    "ideal-family": _families(),
+    "mixed-volume": st.fixed_dictionaries(
+        {"bodies": st.lists(_BODY, min_size=1, max_size=2)}),
+    "verify-example": None,
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.json"
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZ_INPUTS))
+@settings(max_examples=40, derandomize=True)
+@given(data=st.data())
+def test_random_input_keeps_exit_contract(fuzz_path, command, data):
+    """Any input exits 0, 2, 3 or 4, under a small memory guard."""
+    argv = [command]
+    strategy = _FUZZ_INPUTS[command]
+    if strategy is None or not data.draw(st.integers(0, 3)):
+        argv.append("--example=" + data.draw(st.sampled_from(
+            sorted(PRESETS))))
+    if strategy is not None:
+        payload = data.draw(strategy if data.draw(st.integers(0, 3))
+                            else _JSON)
+        fuzz_path.write_text(json.dumps(payload))
+        argv.append(f"--input={fuzz_path}")
+    argv += [f"--x={data.draw(_VECTOR)}", f"--type={data.draw(_VECTOR)}"]
+    if data.draw(st.booleans()):
+        argv.append("--pschedule=" + data.draw(st.sampled_from(
+            ["1,2", "1,2,4", "2,4", "1", "0,1", "1,a"])))
+    for flag in ("--bound", "--nmax"):
+        if data.draw(st.booleans()):
+            argv.append(f"{flag}={data.draw(st.integers(-1, 4))}")
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"OKLAB_MEMORY_LIMIT_MB": "16"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())

@@ -1,5 +1,7 @@
+import itertools
 import tracemalloc
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,7 +18,7 @@ from oklab.ideals import (BodyFamily, ExplicitFamily, PowersFamily,
                           maximal_ideal, mixed_volume_via_ideals,
                           monomial_ideal, power, product, quotient_dim,
                           quotient_dim_by_mpower)
-from oklab.polytope import convex_hull
+from oklab.polytope import compositions, convex_hull
 
 F = Fraction
 
@@ -73,11 +75,65 @@ def test_quotient_dim_rejects_non_containment():
         quotient_dim(power(m, 3), power(m, 2))
 
 
-def test_quotient_dim_rejects_infinite():
+def test_quotient_dim_rejects_infinite(monkeypatch):
     x = monomial_ideal(2, [(1, 0)])
     R = monomial_ideal(2, [(0, 0)])
     with pytest.raises(ValidationError):
-        quotient_dim(R, x, c_cap=16)
+        quotient_dim(R, x)
+    # R/(x) in 3 variables holds the plane x = 0: a validation error at
+    # once, before any grid is sized against a small memory guard.
+    monkeypatch.setenv("OKLAB_MEMORY_LIMIT_MB", "64")
+    with pytest.raises(ValidationError):
+        quotient_dim(monomial_ideal(3, [(0, 0, 0)]),
+                     monomial_ideal(3, [(1, 0, 0)]))
+
+
+def _brute_quotient_dim(num, den):
+    """#(num / den) by membership tests on the box [0, M]^d, M the largest
+    generator coordinate; None when the quotient is infinite.
+
+    Raising a coordinate a_i >= M changes neither membership, so a
+    quotient monomial with some a_i >= M lies on a ray of quotient
+    monomials, and reducing each such coordinate to M keeps it in the
+    quotient: the quotient is infinite iff it meets the face a_i = M
+    of the box, and otherwise lies in [0, M)^d.
+    """
+    top = max(max(g) for g in num.min_gens + den.min_gens)
+    count = 0
+    for a in itertools.product(range(top + 1), repeat=num.num_vars):
+        if num.contains_monomial(a) and not den.contains_monomial(a):
+            if top in a:
+                return None
+            count += 1
+    return count
+
+
+@st.composite
+def _num_over_den(draw):
+    """num and a den <= num in 2-3 variables, finite and infinite."""
+    d = draw(st.integers(2, 3))
+    point = st.tuples(*[st.integers(0, 3)] * d)
+    num = draw(st.lists(point, min_size=1, max_size=3))
+    den = [tuple(map(add, draw(st.sampled_from(num)), draw(point)))
+           for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):  # pure powers over each generator: finite
+        k = draw(st.integers(1, 3))
+        den += [g[:i] + (g[i] + k,) + g[i + 1:]
+                for g in num for i in range(d)]
+    return monomial_ideal(d, num), monomial_ideal(d, den)
+
+
+@settings(max_examples=300)
+@given(_num_over_den())
+@example((monomial_ideal(3, [(0, 0, 0)]), monomial_ideal(3, [(1, 0, 0)])))
+def test_quotient_dim_matches_brute_force(pair):
+    num, den = pair
+    want = _brute_quotient_dim(num, den)
+    if want is None:
+        with pytest.raises(ValidationError):
+            quotient_dim(num, den)
+    else:
+        assert quotient_dim(num, den) == want
 
 
 def test_quotient_dim_by_mpower_matches_generic():
@@ -211,6 +267,25 @@ def test_mixed_volume_via_ideals_rectangle():
     assert out["geometric_positive"] and out["family_positive"]
 
 
+_LATTICE_POLYGON = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                            min_size=1, max_size=4).map(
+    lambda pts: convex_hull([V(*p) for p in pts]))
+
+
+@settings(max_examples=20)
+@given(st.lists(_LATTICE_POLYGON, min_size=1, max_size=3), st.data())
+def test_positivity_verdicts_agree_on_lattice_polygons(bodies, data):
+    # The paper's characterization: MV(K_1^d_1, ...) > 0 iff every subset
+    # J has sum_J d_j <= dim(sum_J K_j), and the analytic spreads of the
+    # body families see the same dimensions.  The verdicts do not read
+    # the ladder, so one rung twice keeps the example cheap.
+    dvec = data.draw(st.sampled_from(compositions(2, len(bodies))))
+    out = mixed_volume_via_ideals(bodies, dvec, p_schedule=(1, 1))
+    assert out["geometric_positive"] == (out["geometric_side"] > 0)
+    assert out["family_positive"] == out["geometric_positive"]
+    assert out["family_certificate"] == out["geometric_certificate"]
+
+
 def test_mixed_volume_via_ideals_degenerate():
     seg1 = convex_hull([V(0, 0), V(1, 0)])
     out = mixed_volume_via_ideals([seg1, seg1], (1, 1))
@@ -228,13 +303,20 @@ def test_quotient_dim_rejects_zero_denominator():
 
 def test_quotient_dim_guard_counts_what_it_holds(monkeypatch):
     monkeypatch.setenv("OKLAB_MEMORY_LIMIT_MB", "1")
-    num = monomial_ideal(2, [(900, 0)])
-    den = product(maximal_ideal(2), num)
-    # The certificate m * num <= den gives a 902^2 box, 0.78 MiB of bools;
-    # the count holds one grid at a time.
+    unit = monomial_ideal(2, [(0, 0)])
+    m = maximal_ideal(2)
+    # R / m^c needs the box c x c, one byte a point: c = 1024 sits at the
+    # 1 MiB limit and is counted, one step larger is refused.
+    assert quotient_dim(unit, power(m, 1024)) == 1024 * 1025 // 2
+    with pytest.raises(ResourceLimitError):
+        quotient_dim(unit, power(m, 1025))
+    # The count holds one grid at a time.  At the limit itself numpy's
+    # index temporaries add a few KiB over the box, so the peak is
+    # measured on a box 5% below it, with a two-generator denominator.
+    den = monomial_ideal(2, [(1000, 0), (0, 1000)])
     tracemalloc.start()
     try:
-        assert quotient_dim(num, den) == 1
+        assert quotient_dim(unit, den) == 1000 * 1000
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
