@@ -5,23 +5,26 @@ vectors: dimensions of graded pieces are exact lattice-point counts,
 volume functions are evaluated both geometrically (cone fibers of the
 global Newton-Okounkov cone) and by asymptotic counting, and mixed
 multiplicities come from exact Hilbert-polynomial interpolation with a
-Fujita-style ladder over degree-p subalgebras.
+Fujita-style ladder over degree-p subalgebras.  The interpolation
+(`_stable_fit`) is solve-free: Newton forward differences on a shifted
+principal lattice, checked in exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import (RegularityNotReachedError, UnsupportedSemigroupError,
                      ValidationError)
 from .lattice import group_generated
 from .polytope import (MultidegreePolynomial, Sublattice, compositions,
                        cone_fiber, dd_extreme_rays, integral_volume,
-                       make_cone, _solve_square)
+                       make_cone)
 from .semigroup import Generators, GradedSemigroup, StaircaseSpec, tail_fit
 
 
@@ -202,7 +205,7 @@ class MonomialAlgebra:
         q = self.krull_dim() - self.s
         ray = self.semigroup.veronese_ray(n)
         counts = ray.counts_upto(n_max)
-        ks = sorted(k for k in counts if k >= max(1, n_max // 2))
+        ks = range(max(1, n_max // 2), n_max + 1)
         return tail_fit(ks, [counts[k] for k in ks], q)
 
     # -- decomposability, truncations ----------------------------------------
@@ -377,35 +380,85 @@ def _stable_fit(fn, s, q, n0=None, cap=512):
     shells, then doubles N0; two consecutive agreeing verified fits are
     accepted.  Raises RegularityNotReachedError past the cap.  fn takes
     integer points and is called once per point; the coefficients are
-    Fractions.
+    Fractions.  A round is solve-free, in Newton's form
+    f(N0 + m) = sum_e D^e f(N0) prod_i C(m_i, e_i): the forward
+    differences are exact, both checks evaluate that form against
+    binomial tables, and only returned or reported fits get monomial
+    coefficients.
     """
     exps = [m for t in range(q + 1) for m in compositions(t, s)]
+    shells = [m for t in (q + 1, q + 2) for m in compositions(t, s)]
     n0 = n0 if n0 is not None else q + 1
     value = functools.cache(fn)
-    prev = None
+    plan = _difference_plan(exps)
+    held_out = _binomial_rows(shells, exps, q, 0)
+    prev = None  # (N0, differences) of a verified round
     fits = []
     while n0 <= cap:
-        grid = [tuple(n0 + m[i] for i in range(s)) for m in exps]
-        rows = [[_monomial(p, e) for e in exps] for p in grid]
-        coeffs = _solve_square(rows, [value(p) for p in grid])
-        coeffs = {e: c for e, c in zip(exps, coeffs) if c}
-        held_out = [tuple(n0 + m[i] for i in range(s))
-                    for t in (q + 1, q + 2) for m in compositions(t, s)]
-        # Held-out points are checked in integers: den * fit(p) with the
-        # coefficients scaled by the lcm of their denominators.
-        den = math.lcm(*(c.denominator for c in coeffs.values()))
-        scaled = [(e, c.numerator * (den // c.denominator))
-                  for e, c in coeffs.items()]
-        ok = all(sum(c * _monomial(p, e) for e, c in scaled)
-                 == den * value(p) for p in held_out)
-        fits.append((n0, coeffs))
-        if ok and prev is not None and prev == coeffs:
-            return MultidegreePolynomial(num_vars=s, degree=q, coeffs=coeffs)
-        prev = coeffs if ok else None
+        values = [value(tuple(n0 + x for x in m)) for m in exps]
+        diffs = values.copy()
+        for a, b in plan:
+            diffs[a] -= diffs[b]
+        ok = all(_dot(diffs, row) == value(tuple(n0 + x for x in m))
+                 for m, row in zip(shells, held_out))
+        fits.append((n0, diffs))
+        if ok and prev is not None and all(
+                _dot(prev[1], row) == v for v, row in zip(
+                    values, _binomial_rows(exps, exps, q, n0 - prev[0]))):
+            return MultidegreePolynomial(
+                num_vars=s, degree=q, coeffs=_monomial_coeffs(
+                    diffs, exps, n0, q))
+        prev = (n0, diffs) if ok else None
         n0 *= 2
     raise RegularityNotReachedError(
-        f"Hilbert fit did not stabilize up to N0={cap}", last_fits=fits[-2:])
+        f"Hilbert fit did not stabilize up to N0={cap}",
+        last_fits=[(base, _monomial_coeffs(diffs, exps, base, q))
+                   for base, diffs in fits[-2:]])
 
 
-def _monomial(point, exp):
-    return math.prod(p ** e for p, e in zip(point, exp))
+def _difference_plan(exps):
+    """Pairs (a, b) such that values[a] -= values[b], in order, turns
+    [f(m) for m in exps] into [D^e f(0) for e in exps]: per axis i and
+    order j, f(m) - f(m - e_i) for each m_i >= j, highest m_i first."""
+    pos = {m: k for k, m in enumerate(exps)}
+    q = max(map(sum, exps))
+    plan = []
+    for i in range(len(exps[0])):
+        line = sorted(exps, key=lambda m: -m[i])
+        for j in range(1, q + 1):
+            plan.extend((pos[m], pos[m[:i] + (m[i] - 1,) + m[i + 1:]])
+                        for m in line if m[i] >= j)
+    return plan
+
+
+def _binomial_rows(points, exps, q, shift):
+    """[[prod_i C(shift + m_i, e_i) for e in exps] for m in points]."""
+    top = max(max(m) for m in points)
+    table = [[math.comb(shift + t, e) for e in range(q + 1)]
+             for t in range(top + 1)]
+    return [[math.prod(table[x][k] for x, k in zip(m, e)) for e in exps]
+            for m in points]
+
+
+def _dot(xs, ys):
+    return sum(map(operator.mul, xs, ys))
+
+
+def _monomial_coeffs(diffs, exps, n0, q):
+    """Monomial coefficients of the Newton form based at N0*(1,..,1),
+    as integers over q!: e! C(x - N0, e) = prod_{j<e} (x - N0 - j), and
+    prod_i e_i! divides q! when |e| <= q."""
+    falling = [[1]]
+    for j in range(q):
+        prev = falling[-1]
+        falling.append([a - (n0 + j) * b
+                        for a, b in zip([0] + prev, prev + [0])])
+    total = dict.fromkeys(exps, 0)
+    qfact = math.factorial(q)
+    for d, e in zip(diffs, exps):
+        if not d:
+            continue
+        w = d * (qfact // math.prod(map(math.factorial, e)))
+        for k in product(*(range(x + 1) for x in e)):
+            total[k] += w * math.prod(falling[x][y] for x, y in zip(e, k))
+    return {k: Fraction(c, qfact) for k, c in total.items() if c}

@@ -8,18 +8,20 @@ along each axis (dilation by the positive orthant is separable), and a
 product of ideals is that closure dilated by the other factors'
 generators, one shifted OR per generator, so the counts in
 ``_bhattacharya_value`` form no product antichain.  Colengths modulo a
-power of the maximal ideal m come from one int32 gap grid (the least
-total degree of num below each point, minus its own), which answers
-every power of m at once; so ``fixed_ideal_mixed_multiplicities`` with
-I = m^a counts one gap grid per J-multidegree, not one per point of its
-fit.  Families are power families, explicit lists, or the
-homogenization of a convex body.
+power of the maximal ideal m are read from one numerator grid for every
+power of m at once: from where num starts on each last-axis fiber when
+num is generated in one degree, else from one int32 gap grid (the
+least total degree of num below each point, minus its own).  So
+``fixed_ideal_mixed_multiplicities`` with I = m^a counts one grid per
+J-multidegree, not one per point of its fit.  Families are power
+families, explicit lists, or the homogenization of a convex body.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -48,7 +50,7 @@ class MonomialIdeal:
     def is_unit(self):
         return self.min_gens == ((0,) * self.num_vars,)
 
-    @property
+    @functools.cached_property
     def homogeneous_degree(self):
         degs = {sum(g) for g in self.min_gens}
         return degs.pop() if len(degs) == 1 else None
@@ -88,15 +90,21 @@ def maximal_ideal(num_vars):
 
 
 def product(i1, i2):
+    """The antichain of pairwise generator sums, deduplicated as ints:
+    vectors packed in mixed radix max_i(g) + max_i(h) + 1 on axis i add
+    without carries, and sort in lexicographic order."""
     if i1.num_vars != i2.num_vars:
         raise ValidationError("ideals live in different rings")
     if i1.is_zero or i2.is_zero:
         return MonomialIdeal(i1.num_vars, ())
-    a = np.array(i1.min_gens, dtype=np.int64)
-    b = np.array(i2.min_gens, dtype=np.int64)
-    sums = (a[:, None, :] + b[None, :, :]).reshape(-1, i1.num_vars)
-    return MonomialIdeal(i1.num_vars,
-                         _antichain(set(map(tuple, sums.tolist()))))
+    radix = [a + b + 1 for a, b in zip(map(max, zip(*i1.min_gens)),
+                                       map(max, zip(*i2.min_gens)))]
+    weights = [math.prod(radix[i + 1:]) for i in range(len(radix))]
+    a = [sum(map(operator.mul, g, weights)) for g in i1.min_gens]
+    b = [sum(map(operator.mul, h, weights)) for h in i2.min_gens]
+    sums = sorted({x + y for x in a for y in b})
+    axes = [[x // w % r for x in sums] for w, r in zip(weights, radix)]
+    return MonomialIdeal(i1.num_vars, _antichain(list(zip(*axes))))
 
 
 def power(ideal, n):
@@ -122,10 +130,12 @@ def ideal_contains(outer, inner):
 # grid counting
 
 def _closure_grid(gens, shape):
-    """Indicator of the upward closure of ``gens`` on the given box."""
+    """Indicator of the upward closure of ``gens`` on the given box; the
+    generators are set one at a time, with no index arrays."""
     grid = np.zeros(shape, dtype=bool)
-    pts = np.array(gens, dtype=np.int64).reshape(-1, len(shape))
-    grid[tuple(pts[(pts < shape).all(axis=1)].T)] = True
+    for g in gens:
+        if all(map(operator.lt, g, shape)):
+            grid[g] = True
     for axis in range(len(shape)):
         np.logical_or.accumulate(grid, axis=axis, out=grid)
     return grid
@@ -167,7 +177,7 @@ def _mpower_colengths(gap, cs):
     those b.  M is a min-plus dilation by the positive orthant, computed
     separably with one accumulated minimum per axis, and answers every c
     at once.  The grid and one bool temporary are held at a time: 5
-    bytes a point.
+    bytes a point, and 4 bytes a coordinate for one axis index row.
     """
     _add_coordinate_sum(gap, 1)
     for axis in range(gap.ndim):
@@ -179,11 +189,39 @@ def _mpower_colengths(gap, cs):
     return [int(np.count_nonzero(gap > -c)) - outside for c in cs]
 
 
+def _suffix_colengths(num, k, cs):
+    """[#(num / m^c * num) for c in cs] when num is generated in degree k.
+
+    Then m^c * num is num's part of degree >= k + c, and num, upward
+    closed, meets each last-axis fiber in a suffix [first, side).  A
+    fiber with base a' adds min(max(0, k + c - |a'| - first),
+    side - first), or 0 if it misses num.  Past one ``argmax`` over the
+    grid it holds three int64 arrays over the fibers and one index row.
+    """
+    side = num.shape[-1]
+    if num.size == 0:
+        return [0] * len(cs)
+    length = np.argmax(num, axis=-1, keepdims=True)
+    # side - first where the fiber's last point is in num, else 0
+    np.subtract(side, length, out=length, where=num[..., -1:])
+    room = length + (k - side)
+    _add_coordinate_sum(room, -1)  # k - |a'| - first
+    count = np.empty_like(room)
+    out = []
+    for c in cs:
+        np.add(room, c, out=count)
+        np.clip(count, 0, length, out=count)
+        out.append(int(count.sum()))
+    return out
+
+
 _FAR = np.iinfo(np.int32).max // 2
 
 
-def _guard_grid(shape, bytes_per_point):
-    if math.prod(shape) * bytes_per_point > memory_limit_bytes():
+def _guard_grid(shape, nbytes):
+    """Refuse a count on this box whose grids and temporaries, ``nbytes``
+    in all, exceed the memory guard."""
+    if nbytes > memory_limit_bytes():
         raise ResourceLimitError(
             f"quotient grid {'x'.join(map(str, shape))} exceeds the memory "
             "guard")
@@ -221,7 +259,7 @@ def quotient_dim(num, den):
                     f"x^{list(g)} x_{i + 1}^k lies outside the denominator "
                     "for every k; the quotient is not finite-dimensional")
             shape[i] = max(shape[i], gi + min(ks))
-    _guard_grid(shape, 1)
+    _guard_grid(shape, math.prod(shape))  # one bool grid at a time
     return _closure_count(num, shape) - _closure_count(den, shape)
 
 
@@ -236,9 +274,10 @@ def quotient_dim_by_mpower(num, c):
     d = num.num_vars
     maxcoord = max(max(g) for g in num.min_gens)
     shape = (maxcoord + c + 1,) * d
-    _guard_grid(shape, 5)
+    _guard_grid(shape, 5 * math.prod(shape) + 4 * max(shape))
     gap = np.full(shape, _FAR, dtype=np.int32)
-    gap[tuple(np.array(num.min_gens).T)] = 0
+    for g in num.min_gens:
+        gap[g] = 0
     return _mpower_colengths(gap, [c])[0]
 
 
@@ -404,16 +443,21 @@ def _numerator_grid(factors, edge):
     outside I*num has a_i < g_i + e_i for every generator g <= a of num,
     so the box with sides sum_j maxcoord_i(J(j)) + e_i holds the whole
     quotient.  num is the closure grid of the first factor dilated by
-    each further factor's generators.  The guard counts 5 bytes a point:
-    two bool grids while dilating, or this grid and the int32 gap grid
-    made from it.
+    each further factor's generators.  The guard counts the most any
+    count of the box holds, whichever path counts it: two bool grids
+    while dilating, the grid with an int32 gap grid and a bool temporary
+    (5 bytes a point), or the grid with 24 bytes a fiber, plus one index
+    row.
     """
     shape = list(edge)
     for j in factors:
         for i, top in enumerate(map(max, zip(*j.min_gens))):
             shape[i] += top
     shape = tuple(shape)
-    _guard_grid(shape, 5)
+    points = math.prod(shape)
+    fibers = points // shape[-1] if shape[-1] else 0
+    _guard_grid(shape, max(5 * points, points + 24 * fibers) +
+                8 * max(shape))
     num = _closure_grid(factors[0].min_gens if factors
                         else [(0,) * len(shape)], shape)
     for j in factors[1:]:
@@ -422,11 +466,15 @@ def _numerator_grid(factors, edge):
 
 
 def _numerator_colengths(factors, d, cs):
-    """[dim num / m^c * num for c in cs], num = J(1)...J(s), from one gap
-    grid on the box sized for the largest c."""
+    """[dim num / m^c * num for c in cs], num = J(1)...J(s), on the box
+    sized for the largest c: by fiber suffixes when every factor is
+    generated in one degree, else by one gap grid."""
     if any(j.is_zero for j in factors):
         return [0] * len(cs)
     num = _numerator_grid(factors, (max(cs),) * d)
+    degrees = [j.homogeneous_degree for j in factors]
+    if None not in degrees:
+        return _suffix_colengths(num, sum(degrees), cs)
     gap = np.full(num.shape, _FAR, dtype=np.int32)
     np.copyto(gap, 0, where=num)
     del num
@@ -455,7 +503,7 @@ def bhattacharya_limit(ifam, jfams, point, n_max=40):
     """Tail-fit estimate of lim dim(.../...) / k^d at k * point."""
     d = ifam.num_vars
     point = tuple(int(x) for x in point)
-    ks = list(range(max(1, n_max // 2), n_max + 1, 4))
+    ks = range(max(1, n_max // 2), n_max + 1, 4)
     ys = [_bhattacharya_value(ifam, jfams, tuple(k * x for x in point))
           for k in ks]
     return tail_fit(ks, ys, d)
@@ -547,8 +595,8 @@ def family_positivity(jfams, dtype):
 
     Checks, for every nonempty subset of the families, that
     sum of d_j <= l(prod_j J(j)_p) - 1, at a p where the analytic
-    spreads have stabilized (identical at p and 2p, from p = 1), by
-    `subset_positivity`.
+    spreads have stabilized (identical at p and 2p, from the least p
+    where every J(j)_p is nonzero), by `subset_positivity`.
     """
     s = len(jfams)
     dvec = tuple(dtype[1:])
@@ -563,7 +611,11 @@ def family_positivity(jfams, dtype):
             product, (jfams[j - 1].ideal(p) for j in sub)))
             for sub in subsets}
 
-    p, cur = 1, spreads(1)
+    p = next((p for p in range(1, 65)
+              if not any(fam.ideal(p).is_zero for fam in jfams)), None)
+    if p is None:
+        raise ValidationError("some family is zero up to p=64")
+    cur = spreads(p)
     while (nxt := spreads(2 * p)) != cur:
         cur, p = nxt, 2 * p
         if p > 64:

@@ -40,15 +40,40 @@ def tail_fit(ks, ys, q):
     """Leading coefficient a of the least-squares fit y ~ a k^q + b k^(q-1).
 
     For q = 0 the counts are eventually constant and their mean is
-    returned.
+    returned.  The distinct ks and the counts ys are Python integers, so
+    the 2 x 2 normal equations are solved exactly and a is rounded once.
     """
-    ys = np.asarray(ys, dtype=float)
+    need = 2 if q else 1
+    if len(ys) < need:
+        raise ValidationError(f"a tail fit of degree {q} needs {need} "
+                              f"counts or more, not {len(ys)}")
     if q == 0:
-        return float(ys.mean())
-    ks = np.asarray(ks, dtype=float)
-    design = np.stack([ks ** q, ks ** (q - 1)], axis=1)
-    sol, *_ = np.linalg.lstsq(design, ys, rcond=None)
-    return float(sol[0])
+        return sum(ys) / len(ys)
+    sums = _power_sums(ks, 2 * q)
+    w = ys  # y k^(q-1)
+    for _ in range(q - 1):
+        w = list(map(operator.mul, w, ks))
+    low, high = sum(w), sum(map(operator.mul, w, ks))
+    return (high * sums[2 * q - 2] - low * sums[2 * q - 1]) / \
+        (sums[2 * q] * sums[2 * q - 2] - sums[2 * q - 1] ** 2)
+
+
+def _power_sums(ks, top):
+    """[sum(k**j for k in ks) for j in range(top + 1)], exactly.
+
+    A ``range`` lo + step * t, t < n, takes closed forms: P_i =
+    sum_{t<n} t^i from n^(i+1) = sum_{l<=i} C(i+1, l) P_l, then
+    sum (lo + step t)^j = sum_i C(j, i) lo^(j-i) step^i P_i.
+    """
+    if not isinstance(ks, range):
+        return [sum(k ** j for k in ks) for j in range(top + 1)]
+    n, lo, step = len(ks), ks.start, ks.step
+    p = []
+    for i in range(top + 1):
+        p.append((n ** (i + 1) - sum(math.comb(i + 1, l) * p[l]
+                                     for l in range(i))) // (i + 1))
+    return [sum(math.comb(j, i) * lo ** (j - i) * step ** i * p[i]
+                for i in range(j + 1)) for j in range(top + 1)]
 
 
 # ---------------------------------------------------------------------------

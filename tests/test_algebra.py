@@ -2,12 +2,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+import fit_reference as ref
 
 from oklab.algebra import (MonomialAlgebra, _stable_fit, ladder_report,
                            subset_positivity)
 from oklab.errors import RegularityNotReachedError, ValidationError
-from oklab.polytope import cone_fiber
+from oklab.polytope import compositions, cone_fiber
 from oklab.semigroup import BoundRule, StaircaseSpec
 
 F = Fraction
@@ -299,3 +301,50 @@ def test_stable_fit_recovers_fractional_coefficients():
 def test_stable_fit_rejects_non_polynomial():
     with pytest.raises(RegularityNotReachedError):
         _stable_fit(lambda p: 2 ** p[0] + p[1], 2, 2, cap=64)
+
+
+@st.composite
+def fit_functions(draw):
+    """An integer-valued polynomial of degree <= q in s <= 3 variables,
+    written in binomials, plus an optional non-polynomial part: one that
+    never settles, or one that vanishes only from some point on."""
+    s = draw(st.integers(1, 3))
+    q = draw(st.integers(0, 3))
+    exps = [e for t in range(q + 1) for e in compositions(t, s)]
+    terms = draw(st.lists(st.tuples(st.sampled_from(exps),
+                                    st.integers(-4, 4)), max_size=5))
+    extra = draw(st.sampled_from(("none", "exponential", "floor", "early")))
+    cut = draw(st.integers(1, 20))
+
+    def fn(p):
+        value = sum(c * math.prod(math.comb(x, k) for x, k in zip(p, e))
+                    for e, c in terms)
+        if extra == "exponential":
+            value += 2 ** min(p[0], 80)
+        elif extra == "floor":
+            value += p[0] * p[-1] // 3
+        elif extra == "early":
+            value += p[0] < cut
+        return value
+
+    return fn, s, q
+
+
+@settings(max_examples=150)
+@given(fit_functions())
+@example((lambda p: math.comb(p[0] + p[1] + 2, 3) + p[0] * p[1], 2, 3))
+@example((lambda p: 2 ** p[0] + p[1], 2, 2))
+def test_stable_fit_matches_vandermonde_reference(case):
+    # Equal coefficients, equal last fits on failure, and the same points
+    # asked for in the same order.
+    fn, s, q = case
+    results = []
+    for fit in (_stable_fit, ref.stable_fit):
+        calls = []
+        try:
+            out = fit(lambda p: calls.append(p) or fn(p), s, q, cap=64)
+            results.append((out.coeffs, list(out.coeffs), calls))
+        except RegularityNotReachedError as exc:
+            results.append(("raised", exc.last_fits, calls))
+    assert results[0] == results[1]
+

@@ -114,6 +114,21 @@ def test_mixed_volume_command(tmp_path, capsys):
     assert "verdict: AGREE" in out
 
 
+def test_mixed_volume_body_without_lattice_points_at_p1(tmp_path, capsys):
+    # The first segment's J_1 is the zero ideal (x = 1/2 holds no lattice
+    # point), so the spread search starts at p = 2.
+    payload = {"bodies": [{"vertices": [["1/2", "0"], ["1/2", "1"]]},
+                          {"vertices": [["0", "0"], ["1", "0"]]}]}
+    path = tmp_path / "bodies.json"
+    path.write_text(json.dumps(payload))
+    code, out, _ = run(capsys, "mixed-volume", "--input", str(path),
+                       "--type", "1,1", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["geometric"] == "1"
+    assert report["family_positive"] is True
+
+
 def test_verify_example_positional(capsys):
     code, out, _ = run(capsys, "verify-example", "golden")
     assert code == 0

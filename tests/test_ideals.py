@@ -3,14 +3,17 @@ import tracemalloc
 from fractions import Fraction
 from operator import add
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bhattacharya_reference as ref
 from oklab.errors import (ResourceLimitError, UnsupportedIdealError,
                           ValidationError)
-from oklab.ideals import (BodyFamily, ExplicitFamily, PowersFamily,
-                          _bhattacharya_value, _numerator_colengths,
+from oklab.ideals import (_FAR, BodyFamily, ExplicitFamily, PowersFamily,
+                          _bhattacharya_value, _mpower_colengths,
+                          _numerator_colengths, _numerator_grid,
+                          _suffix_colengths,
                           analytic_spread,
                           bhattacharya_limit, body_to_family, family_mixed_multiplicities,
                           family_positivity,
@@ -401,7 +404,12 @@ def test_bhattacharya_value_matches_antichain_reference(case):
 @settings(max_examples=150)
 @given(st.integers(1, 3).flatmap(lambda d: st.tuples(
     st.just(d), st.lists(exponents(d, 3), max_size=4),
-    st.lists(exponents(d, 3), max_size=4))))
+    st.one_of(
+        st.lists(exponents(d, 3), max_size=4),
+        # skewed sizes: a power of m, or up to 30 mixed-degree generators
+        st.integers(0, 12).map(lambda a: power(maximal_ideal(d), a).min_gens),
+        st.lists(exponents(d, 9), max_size=30)))))
+@example((3, [(2, 0, 0), (0, 0, 2)], power(maximal_ideal(3), 12).min_gens))
 def test_product_matches_brute_force(case):
     d, gens1, gens2 = case
     sums = {tuple(x + y for x, y in zip(g, h)) for g in gens1 for h in gens2}
@@ -410,6 +418,8 @@ def test_product_matches_brute_force(case):
                                 for q in sums))
     got = product(monomial_ideal(d, gens1), monomial_ideal(d, gens2))
     assert got.min_gens == tuple(minimal)
+    assert product(monomial_ideal(d, gens2),
+                   monomial_ideal(d, gens1)) == got
 
 
 @settings(max_examples=100)
@@ -450,6 +460,35 @@ def test_mpower_colengths_match_pointwise_values(case):
                                [a * k for k in n0s])
     ifam = PowersFamily(power(maximal_ideal(d), a))
     assert got == [_bhattacharya_value(ifam, jfams, (k,) + n) for k in n0s]
+
+
+@st.composite
+def equigenerated_numerators(draw):
+    """0-2 factors, each generated in one degree (0 included), and powers
+    c of m, 0 included; an empty box when every c and degree is 0."""
+    d = draw(st.sampled_from((1, 2, 3)))
+    factors = []
+    for _ in range(draw(st.integers(0, 2))):
+        deg = draw(st.integers(0, 3))
+        factors.append(monomial_ideal(d, draw(st.lists(
+            st.sampled_from(compositions(deg, d)), min_size=1,
+            max_size=4))))
+    cs = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+    return d, factors, cs
+
+
+@settings(max_examples=150)
+@given(equigenerated_numerators())
+@example((2, [], [0]))
+@example((1, [monomial_ideal(1, [(0,)])], [0, 0]))
+@example((3, [maximal_ideal(3), power(maximal_ideal(3), 2)], [0, 3]))
+def test_suffix_colengths_match_gap_grid(case):
+    d, factors, cs = case
+    num = _numerator_grid(factors, (max(cs),) * d)
+    gap = np.full(num.shape, _FAR, dtype=np.int32)
+    np.copyto(gap, 0, where=num)
+    k = sum(j.homogeneous_degree for j in factors)
+    assert _suffix_colengths(num, k, cs) == _mpower_colengths(gap, cs)
 
 
 @st.composite
@@ -504,3 +543,45 @@ def test_mpower_table_guard_counts_what_it_holds(monkeypatch):
         {(1,): 57 ** 2}
     with pytest.raises(ResourceLimitError):
         fixed_ideal_mixed_multiplicities(power(m, 58), [])
+
+
+def test_suffix_table_guard_counts_what_it_holds(monkeypatch):
+    # num = m^40 in three variables is generated in one degree, so its
+    # colengths are read from fiber suffixes; the guard still counts 5
+    # bytes a point, the most any count of the box holds.
+    monkeypatch.setenv("OKLAB_MEMORY_LIMIT_MB", "1")
+    factors = [power(maximal_ideal(3), 40)]
+    cs = [0, 1, 19]
+    with pytest.raises(ResourceLimitError):
+        _numerator_colengths(factors, 3, cs + [20])  # 60^3 points
+    # The largest box the guard admits, 59^3 points, stays within the
+    # limit: dim m^40 / m^(40 + c) for every c at once.
+    tracemalloc.start()
+    try:
+        got = _numerator_colengths(factors, 3, cs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1024 * 1024
+    assert got == [sum((k + 1) * (k + 2) // 2 for k in range(40, 40 + c))
+                   for c in cs]
+
+
+def test_gap_table_guard_counts_what_it_holds(monkeypatch):
+    # A numerator generated in two degrees takes the gap grid: the grid,
+    # its int32 gap grid and one bool temporary, 5 bytes a point.
+    num = monomial_ideal(2, [(300, 0), (100, 100), (0, 300)])
+    cs = [0, 1, 157]
+    want = [quotient_dim(num, product(power(maximal_ideal(2), c), num))
+            for c in cs]
+    monkeypatch.setenv("OKLAB_MEMORY_LIMIT_MB", "1")
+    with pytest.raises(ResourceLimitError):
+        _numerator_colengths([num], 2, cs + [158])  # 458^2 points
+    tracemalloc.start()
+    try:
+        got = _numerator_colengths([num], 2, cs)  # 457^2 points
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1024 * 1024
+    assert got == want

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from oklab.errors import (EmptyTruncationError, ResourceLimitError,
                           UnsupportedSemigroupError, ValidationError)
 from oklab.semigroup import BoundRule, GradedSemigroup, StaircaseSpec, \
-    _bit_layout, _bitset_box, _series_box, tail_fit
+    _bit_layout, _bitset_box, _power_sums, _series_box, tail_fit
 
 F = Fraction
 
@@ -229,10 +229,23 @@ def test_generator_validation():
 
 
 def test_tail_fit_recovers_the_leading_coefficient():
+    # The normal equations are solved exactly, so counts on the model
+    # give its coefficient exactly, from a list or a range of ks.
     ks = list(range(10, 21))
-    assert tail_fit(ks, [3 * k * k + 5 * k for k in ks], 2) == \
-        pytest.approx(3.0)
+    assert tail_fit(ks, [3 * k * k + 5 * k for k in ks], 2) == 3.0
+    assert tail_fit(range(10, 21), [3 * k * k + 5 * k for k in ks], 2) == 3.0
     assert tail_fit(ks, [7] * len(ks), 0) == 7.0
+    with pytest.raises(ValidationError):
+        tail_fit([5], [80], 2)
+
+
+@settings(max_examples=200)
+@given(st.integers(-20, 40), st.integers(-6, 6).filter(bool),
+       st.integers(0, 30), st.integers(0, 8))
+def test_power_sums_of_a_range_match_direct_sums(lo, step, n, top):
+    ks = range(lo, lo + step * n, step)
+    assert _power_sums(ks, top) == _power_sums(list(ks), top) == \
+        [sum(k ** j for k in ks) for j in range(top + 1)]
 
 
 # -- counting engine against brute force ------------------------------------
