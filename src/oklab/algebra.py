@@ -3,11 +3,12 @@
 Everything is driven by the underlying graded semigroup of exponent
 vectors: dimensions of graded pieces are exact lattice-point counts,
 volume functions are evaluated both geometrically (cone fibers of the
-global Newton-Okounkov cone) and by asymptotic counting, and mixed
-multiplicities come from exact Hilbert-polynomial interpolation with a
-Fujita-style ladder over degree-p subalgebras.  The interpolation
-(`_stable_fit`) is solve-free: Newton forward differences on a shifted
-principal lattice, checked in exact integer arithmetic.
+global Newton-Okounkov cone, in the lattice of the degree-0 group) and
+by asymptotic counting, and mixed multiplicities come from exact
+Hilbert-polynomial interpolation with a Fujita-style ladder over
+degree-p subalgebras.  The interpolation (`_stable_fit`) is solve-free:
+Newton forward differences on a shifted principal lattice, checked in
+exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from itertools import combinations, product
 
 from .errors import (RegularityNotReachedError, UnsupportedSemigroupError,
                      ValidationError)
-from .lattice import group_generated
-from .polytope import (MultidegreePolynomial, Sublattice, compositions,
+from .lattice import (group_generated, integer_kernel, saturation,
+                      subgroup_index)
+from .polytope import (MultidegreePolynomial, compositions,
                        cone_fiber, dd_extreme_rays, integral_volume,
                        make_cone)
 from .semigroup import Generators, GradedSemigroup, StaircaseSpec, tail_fit
@@ -59,7 +61,6 @@ class MonomialAlgebra:
 
     def __init__(self, semigroup):
         self.semigroup = semigroup
-        self._dim_cache = {}
 
     @classmethod
     def from_generators(cls, r, s, gens):
@@ -135,11 +136,11 @@ class MonomialAlgebra:
         return make_cone(rays, self.r + self.s), False
 
     def krull_dim(self):
-        if "krull" not in self._dim_cache:
-            vecs = self._generator_vectors()
-            self._dim_cache["krull"] = group_generated(
-                vecs, self.r + self.s).rank
-        return self._dim_cache["krull"]
+        return self._group.rank
+
+    @functools.cached_property
+    def _group(self):
+        return group_generated(self._generator_vectors(), self.r + self.s)
 
     def dim_subalgebra(self, axes):
         """dim of A_(J): degrees supported on the axis subset J."""
@@ -192,10 +193,24 @@ class MonomialAlgebra:
             return FiberVolume(Fraction(0), "fiber")
         if any(v <= 0 for v in n):
             raise ValidationError(f"point {x} must be positive")
-        inv = self.semigroup.veronese_ray(n).invariants()
-        lattice = _project_valuation(inv["boundary_lattice"], self.r)
-        vol = integral_volume(fiber, lattice)
-        return FiberVolume(vol / inv["ind"], "fiber")
+        lattice, ind = self._fiber_lattice
+        return FiberVolume(integral_volume(fiber, lattice) / ind, "fiber")
+
+    @functools.cached_property
+    def _fiber_lattice(self):
+        """(L, ind): G_0 = G meet (Z^r x 0), L its saturation, [L : G_0].
+        Every axis piece is nonzero, so each positive ray meets the interior
+        of the degree cone and its Veronese ray has this L and ind.  Pieces
+        of a staircase (r = 1) are intervals: G_0 = L = Z^q and ind = 1."""
+        q = self.krull_dim() - self.s
+        if not self.is_generated:
+            return group_generated([(1,)] * q, 1), 1
+        g = self._group
+        ker = integer_kernel(list(zip(*g.basis))[self.r:], g.rank)
+        g0 = group_generated([g.member(c)[:self.r] for c in ker.basis],
+                             self.r)
+        lattice = saturation(g0)
+        return lattice, subgroup_index(g0, lattice)
 
     def volume_fn_count(self, n, n_max=500):
         """Tail-fit estimate of lim dim[A]_{kn} / k^q."""
@@ -211,23 +226,35 @@ class MonomialAlgebra:
     # -- decomposability, truncations ----------------------------------------
 
     def is_decomposable(self, bound=4):
-        """(flag, witness): piece(n) == product of axis pieces, n <= bound."""
-        for t in range(2, bound * self.s + 1):
-            for n in compositions(t, self.s):
-                if any(v > bound for v in n):
-                    continue
-                piece = self.semigroup.graded_piece(n)
-                prod = {(0,) * self.r}
-                for i, ni in enumerate(n):
-                    if ni == 0:
-                        continue
-                    e = tuple(ni * int(i == j) for j in range(self.s))
-                    axis = self.semigroup.graded_piece(e)
-                    prod = {tuple(a + b for a, b in zip(p, v))
-                            for p in prod for v in axis}
-                if piece != prod:
-                    return False, n
-        return True, None
+        """(flag, witness): is each piece the sum of its axis pieces?  Exact
+        for a generated A: every generator must lie in the sum of the axis
+        pieces at its degree; the witness is the first that does not.
+        Other sources are scanned over the degrees n <= bound."""
+        if self.is_generated:
+            bad = (deg for val, deg in self.semigroup.generators
+                   if not self._in_axis_sum(val, deg))
+        else:
+            bad = (n for t in range(2, bound * self.s + 1)
+                   for n in compositions(t, self.s) if max(n) <= bound and
+                   self.semigroup.graded_piece(n) != self._axis_sum(n))
+        witness = next(bad, None)
+        return witness is None, witness
+
+    def _axis_sum(self, n):
+        """The sum of the axis pieces at n_1 e_1, ..., n_s e_s."""
+        out = {(0,) * self.r}
+        for i, ni in enumerate(n):
+            e = tuple(ni * int(i == j) for j in range(self.s))
+            out = {tuple(map(operator.add, p, v))
+                   for p in out for v in self.semigroup.graded_piece(e)}
+        return out
+
+    def _in_axis_sum(self, val, n):
+        """Whether val is in `_axis_sum` (n), meeting the last axis by
+        difference: that sum is never built."""
+        head = self._axis_sum(n[:-1] + (0,))
+        last = self.semigroup.graded_piece((0,) * (self.s - 1) + n[-1:])
+        return any(tuple(map(operator.sub, val, p)) in head for p in last)
 
     def truncation(self, a):
         """Subalgebra generated by the axis pieces up to degree a."""
@@ -364,12 +391,6 @@ def ladder_report(d, rung, p_schedule, positive):
         value, provenance = 2.0 * float(last) - float(prev), "extrapolated"
     return MixedMultiplicityReport(d=d, value=value, provenance=provenance,
                                    ladder=ladder, positive=positive(value))
-
-
-def _project_valuation(lattice, r):
-    """Drop the trailing degree coordinates (all zero on the boundary)."""
-    basis = tuple(row[:r] for row in lattice.basis)
-    return Sublattice(basis=basis, ambient_dim=r)
 
 
 def _stable_fit(fn, s, q, n0=None, cap=512):

@@ -244,9 +244,10 @@ def build_parser():
     parser.add_argument("--bound", type=int, default=8,
                         help="degree bound for the enumerated cone of a "
                              "non-polyhedral staircase (no-body, fiber) "
-                             "and for the decomposability check "
-                             "(mixed-mult); default 8. Staircase closure "
-                             "is always checked up to degree 8")
+                             "and for the decomposability check of a "
+                             "staircase (mixed-mult); default 8. "
+                             "Staircase closure is always checked up to "
+                             "degree 8")
     return parser
 
 

@@ -12,6 +12,7 @@ unimodular ``hermite_normal_form`` instead.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -88,10 +89,12 @@ class Sublattice:
         return len(self.basis)
 
     def pivot_columns(self):
-        cols = []
-        for row in self.basis:
-            cols.append(next(i for i, u in enumerate(row) if u))
-        return cols
+        return self._pivots
+
+    @functools.cached_property
+    def _pivots(self):
+        return tuple(next(i for i, u in enumerate(row) if u)
+                     for row in self.basis)
 
     def coordinates(self, point):
         """Integer coordinates of ``point`` in the basis, or None."""
@@ -163,7 +166,7 @@ def integer_kernel(constraints, n):
     for i in range(n):
         aug.append([constraints[j][i] for j in range(m)] + [0] * n)
         aug[-1][m + i] = 1
-    reduced, _ = hermite_normal_form(aug)
+    reduced, _ = hermite_normal_form(aug, ncols=m + n)
     kernel = [row[m:] for row in reduced if not any(row[:m])]
     basis, _ = hermite_normal_form(kernel, ncols=n)
     return Sublattice(basis=tuple(basis), ambient_dim=n)

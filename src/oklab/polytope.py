@@ -506,6 +506,12 @@ def minkowski_polynomial(bodies):
 
 
 def mixed_volume(bodies, dtype):
-    """MV_d of the multiset with multiplicities ``dtype``; exact."""
+    """MV_d of the multiset with multiplicities ``dtype``; exact.  The
+    type needs one entry >= 0 per body, summing to the dimension."""
+    dim = bodies[0].ambient_dim if bodies else 0
+    if len(dtype) != len(bodies) or min(dtype, default=0) < 0 or \
+            sum(dtype) != dim:
+        raise ValidationError(f"type {tuple(dtype)} needs {len(bodies)} "
+                              f"entries >= 0 summing to {dim}")
     poly = minkowski_polynomial(bodies)
     return poly.normalized(dtype)

@@ -2,7 +2,8 @@
 
 Three kinds of sources are supported: finite generator lists, staircase
 rules (r = 1, closed-form per-degree intervals), and Veronese rays of a
-generated parent semigroup.  Graded pieces as point sets come from a
+generated parent semigroup; invariants and Okounkov bodies need a singly
+graded generator source.  Graded pieces as point sets come from a
 degree-indexed dynamic program over frozensets.  Piece counts of
 generator sources, in any multidegree and along Veronese rays, are read
 from one box of degrees: Q-independent generators (a free semigroup)
@@ -32,7 +33,7 @@ from .errors import (EmptyTruncationError, ResourceLimitError,
                      UnsupportedSemigroupError, ValidationError,
                      memory_limit_bytes)
 from .lattice import echelon, group_generated, integer_kernel, \
-    subgroup_index, vanishing_forms
+    saturation, subgroup_index
 from .polytope import Polytope, convex_hull, integral_volume
 
 
@@ -517,36 +518,9 @@ class GradedSemigroup:
 
     # -- invariants and bodies -----------------------------------------------
 
-    def proxy_generators(self):
-        """(generator list, empirical), computed once per semigroup.
-
-        Rule-defined sources get their points of degree <= 8, doubling
-        the degree until the generated group stabilizes (empirical).
-        """
-        return self._proxy
-
-    @functools.cached_property
-    def _proxy(self):
-        if self.is_generated:
-            return list(self.generators), False
-        if self.s != 1:
-            raise UnsupportedSemigroupError(
-                "proxy generators need a singly graded source")
-        prev_basis = None
-        bound = 8
-        while True:
-            pts = []
-            for n in range(1, bound + 1):
-                pts.extend((v, (n,)) for v in self.graded_piece((n,)))
-            basis = group_generated([v + d for v, d in pts],
-                                    self.r + 1).basis
-            if basis == prev_basis or bound > 256:
-                return pts, True
-            prev_basis = basis
-            bound *= 2
-
     def invariants(self):
-        """G, m, ind, strong non-negativity and L-dimension (s = 1); once."""
+        """G, m, ind, strong non-negativity and L-dimension; once.
+        Singly graded generator sources only."""
         if self.s != 1:
             raise UnsupportedSemigroupError(
                 "invariants are defined on singly graded semigroups; "
@@ -555,36 +529,30 @@ class GradedSemigroup:
 
     @functools.cached_property
     def _invariants(self):
-        gens, empirical = self.proxy_generators()
-        vecs = [val + deg for val, deg in gens]
-        lat = group_generated(vecs, self.r + 1)
+        gens = self.generators
+        lat = group_generated([val + deg for val, deg in gens], self.r + 1)
         m = math.gcd(*(deg[0] for _, deg in gens)) if gens else 0
-        forms = vanishing_forms(lat)
-        deg_form = (0,) * self.r + (1,)
-        boundary = integer_kernel(list(forms.basis) + [deg_form], self.r + 1)
-        fcoef = [b[-1] for b in lat.basis]
-        ker = integer_kernel([fcoef], lat.rank)
+        ker = integer_kernel([[b[-1] for b in lat.basis]], lat.rank)
         inner = group_generated([lat.member(c) for c in ker.basis],
                                 self.r + 1)
+        boundary = saturation(inner)
         ind = subgroup_index(inner, boundary)
         return {
             "G": lat,
             "m": m,
             "ind": ind,
             "boundary_lattice": boundary,
-            # Always pointed: every generator and proxy point has degree
-            # coordinate >= 1 (s = 1, from_generators rejects degrees
-            # <= 0, proxy points have n >= 1).
+            # Always pointed: every generator has degree coordinate >= 1
+            # (s = 1, and from_generators rejects degrees <= 0).
             "strongly_nonneg": True,
             "L_dim": lat.rank,
-            "empirical": empirical,
         }
 
     def okounkov_body(self):
         """Slice of the generated cone at degree m(S); a Polytope."""
         m = self.invariants()["m"]
         pts = [tuple(Fraction(m * x, deg[0]) for x in val) + (Fraction(m),)
-               for val, deg in self.proxy_generators()[0]]
+               for val, deg in self.generators]
         return convex_hull(pts)
 
     def kk_limit_check(self, n_max=500):

@@ -1,13 +1,15 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import fit_reference as ref
+import invariants_reference as inv_ref
 
-from oklab.algebra import (MonomialAlgebra, _stable_fit, ladder_report,
-                           subset_positivity)
+from oklab.algebra import (FiberVolume, MonomialAlgebra, _stable_fit,
+                           ladder_report, subset_positivity)
 from oklab.errors import RegularityNotReachedError, ValidationError
 from oklab.polytope import compositions, cone_fiber
 from oklab.semigroup import BoundRule, StaircaseSpec
@@ -137,10 +139,78 @@ def test_fiber_theorem():
     cone, _ = a.global_no_cone()
     for n in [(1, 1), (2, 3), (3, 1)]:
         fib = cone_fiber(cone, (1, 2), n)
-        body = a.veronese(n).semigroup.okounkov_body()
+        body = inv_ref.okounkov_body(a.veronese(n).semigroup)
         # Drop the degree coordinate (the Veronese body sits at height m).
         projected = {v[:-1] for v in body.vertices}
         assert projected == set(fib.vertices), n
+
+
+def test_fiber_volume_divides_by_the_index_of_the_degree_zero_group():
+    # G_0 = 2Z in L = Z, and the fiber at 1 is [0, 2].
+    a = MonomialAlgebra.from_generators(1, 1, [((0,), (1,)), ((2,), (1,))])
+    lattice, ind = a._fiber_lattice
+    assert lattice.basis == ((1,),) and ind == 2
+    assert a.volume_fn_fiber((1,)) == FiberVolume(F(1), "fiber")
+
+
+def test_fiber_volume_without_valuation_coordinates():
+    # r = 0: G_0 is the zero lattice of Z^0, and each fiber is a point.
+    a = MonomialAlgebra.from_generators(0, 2, [((), (1, 0)), ((), (0, 1))])
+    assert a.volume_fn_fiber((1, 2)) == FiberVolume(F(1), "fiber")
+
+
+@st.composite
+def axis_generated_algebras(draw):
+    """A generated algebra with r, s <= 2 and a unit generator on every
+    axis (so every axis piece is nonzero), plus axis generators of
+    degree 2-3 and generators of mixed support."""
+    r = draw(st.integers(0, 2))
+    s = draw(st.integers(1, 2))
+    val = st.tuples(*[st.integers(-1, 3)] * r)
+    gens = []
+    for i in range(s):
+        unit = tuple(int(i == j) for j in range(s))
+        gens.append((draw(val), unit))
+        for k in draw(st.lists(st.integers(1, 3), max_size=2)):
+            gens.append((draw(val), tuple(k * u for u in unit)))
+    if s == 2:
+        mixed = st.tuples(st.integers(1, 2), st.integers(1, 2))
+        gens.extend(draw(st.lists(st.tuples(val, mixed), max_size=2)))
+    return MonomialAlgebra.from_generators(r, s, gens)
+
+
+@st.composite
+def polyhedral_staircases(draw):
+    """A staircase with max-of-forms lower and min-of-forms upper bounds,
+    closed under addition by construction."""
+    s = draw(st.integers(1, 2))
+    low = st.tuples(*[st.sampled_from([F(0), F(-1, 2), F(1, 3)])] * s)
+    high = st.tuples(*[st.sampled_from([F(0), F(1), F(3, 2), F(2, 3)])] * s)
+    lower = draw(st.lists(low, min_size=1, max_size=2))
+    upper = draw(st.lists(high, min_size=1, max_size=2))
+    return MonomialAlgebra.from_staircase(StaircaseSpec(
+        s=s,
+        lower=BoundRule("linear" if len(lower) == 1 else "max",
+                        forms=tuple(lower)),
+        upper=BoundRule("linear" if len(upper) == 1 else "min",
+                        forms=tuple(upper))))
+
+
+# Points whose ray has entries <= 2: the reference enumerates the parent
+# semigroup up to degree 16 * ray at least.
+POINTS = {1: [(F(1),), (F(2),), (F(1, 2),)],
+          2: [(F(1), F(1)), (F(1), F(2)), (F(2), F(1)), (F(1, 2), F(1, 2)),
+              (F(1, 2), F(1)), (F(1), F(1, 2))]}
+
+
+@settings(max_examples=40)
+@given(st.one_of(axis_generated_algebras(), polyhedral_staircases()),
+       st.data())
+def test_fiber_volume_matches_enumerated_veronese_invariants(a, data):
+    assume(all(a.axis_nonvanishing()))
+    x = data.draw(st.sampled_from(POINTS[a.s]))
+    assert a.volume_fn_fiber(x) == FiberVolume(inv_ref.volume_fn(a, x),
+                                               "fiber")
 
 
 def test_log_concavity_sampled():
@@ -162,6 +232,41 @@ def test_decomposability():
     assert not ok and witness == (1, 1)
     single = MonomialAlgebra.from_generators(1, 1, [((1,), (1,))])
     assert single.is_decomposable() == (True, None)
+
+
+def decomposable_upto(a, bound):
+    """The bounded scan: is piece(n) the sum of its axis pieces for every
+    degree n <= bound?"""
+    sg = a.semigroup
+    for n in itertools.product(range(bound + 1), repeat=a.s):
+        axes = [sg.graded_piece(tuple(k * (i == j) for j in range(a.s)))
+                for i, k in enumerate(n)]
+        sums = {tuple(map(sum, zip(*pts))) for pts in itertools.product(*axes)}
+        if sg.graded_piece(n) != sums:
+            return False
+    return True
+
+
+def test_decomposability_of_generators_is_exact():
+    # (2|9,1) is not in S_{9 e_1} + S_{e_2} = {0} + {0, 1}; no scan up to
+    # degree 8 reaches it.
+    a = MonomialAlgebra.from_generators(1, 2, [
+        ((0,), (1, 0)), ((0,), (0, 1)), ((1,), (0, 1)), ((2,), (9, 1))])
+    assert decomposable_upto(a, 8)
+    assert a.is_decomposable() == (False, (9, 1))
+    with pytest.raises(ValidationError, match=r"\(9, 1\)"):
+        a.mixed_multiplicities((0, 1))
+
+
+@settings(max_examples=60)
+@given(st.one_of(axis_generated_algebras(), st.builds(
+    MonomialAlgebra.from_generators, st.just(1), st.just(2), st.lists(
+        st.tuples(st.tuples(st.integers(0, 3)),
+                  st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(
+                      any)), min_size=1, max_size=5))))
+def test_decomposability_matches_the_bounded_scan(a):
+    bound = max(max(deg) for _, deg in a.semigroup.generators)
+    assert a.is_decomposable()[0] == decomposable_upto(a, bound)
 
 
 def test_truncation_and_p_subalgebra():

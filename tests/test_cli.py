@@ -51,6 +51,17 @@ def test_volume_fn_rational_point(capsys):
     assert json.loads(out)["value"] == "3/2"
 
 
+def test_volume_fn_segre_reads_the_lattice_of_the_algebra(capsys):
+    # F_A(x) = x1 * x2 for Segre; the lattice and index come from the
+    # algebra's group, with nothing enumerated along the ray.
+    code, out, _ = run(capsys, "volume-fn", "--example", "segre",
+                       "--x", "5,4", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == "20"
+    assert payload["method"] == "fiber"
+
+
 def test_no_body_min(capsys):
     code, out, _ = run(capsys, "no-body", "--example", "min",
                        "--format", "json")
@@ -78,6 +89,20 @@ def test_mixed_mult_segre(capsys):
     assert payload["value"] == "1"
     assert payload["positive"] is True
     assert payload["provenance"] == "exact"
+
+
+def test_mixed_mult_names_an_undecomposable_generator(tmp_path, capsys):
+    # (2|9,1) is not a sum of axis-piece points; no scan of degrees up to
+    # the bound reaches (9, 1).
+    gens = [([0], [1, 0]), ([0], [0, 1]), ([1], [0, 1]), ([2], [9, 1])]
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "r": 1, "s": 2,
+        "generators": [{"exp": v, "deg": d} for v, d in gens]}))
+    code, _, err = run(capsys, "mixed-mult", "--input", str(path),
+                       "--type", "0,1")
+    assert code == 2
+    assert "(9, 1)" in err
 
 
 def test_positivity_certificate(capsys):
@@ -255,8 +280,8 @@ def test_bound_help_names_what_it_reaches(monkeypatch, capsys):
     assert "closure/decomposability" not in text
     assert ("--bound BOUND degree bound for the enumerated cone of a "
             "non-polyhedral staircase (no-body, fiber) and for the "
-            "decomposability check (mixed-mult); default 8. Staircase "
-            "closure is always checked up to degree 8") in text
+            "decomposability check of a staircase (mixed-mult); default 8. "
+            "Staircase closure is always checked up to degree 8") in text
 
 
 POWERS_BAD_VARS = {"family": {"powers": {"vars": "a", "gens": [[1]]}}}

@@ -91,6 +91,8 @@ def test_vanishing_forms_and_saturation():
     sat = saturation(lat)
     assert sat.contains((1, 1))
     assert sat.rank == 1
+    # In Z^0 there is nothing to eliminate.
+    assert saturation(group_generated([], 0)).basis == ()
 
 
 def test_lattice_preimage():

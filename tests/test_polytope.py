@@ -123,6 +123,17 @@ def test_minkowski_polynomial_square_triangle():
     assert mixed_volume([sq, tri], (1, 1)) == 2
 
 
+@pytest.mark.parametrize("dtype", [(1, 1, 0), (3, 0), (1,), (2, -1, 1),
+                                   (3, -1)])
+def test_mixed_volume_rejects_malformed_types(dtype):
+    # A wrong length or total degree used to read 0, a negative entry to
+    # raise ValueError from factorial.
+    sq = convex_hull([V(0, 0), V(1, 0), V(0, 1), V(1, 1)])
+    tri = convex_hull([V(0, 0), V(1, 0), V(0, 1)])
+    with pytest.raises(ValidationError):
+        mixed_volume([sq, tri], dtype)
+
+
 def test_minkowski_polynomial_segments():
     seg1 = convex_hull([V(0, 0), V(1, 0)])
     seg2 = convex_hull([V(0, 0), V(0, 1)])

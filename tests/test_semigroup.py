@@ -118,6 +118,17 @@ def test_strong_nonnegativity_holds_with_positive_degrees():
                                                 (F(1), F(1))}
 
 
+def test_invariants_need_a_generator_source():
+    staircase = GradedSemigroup.from_staircase(staircase_golden())
+    segre = GradedSemigroup.from_generators(
+        2, 2, [((1, 0), (1, 0)), ((0, 1), (0, 1))])
+    for sg in (staircase, segre.veronese_ray((1, 2))):
+        with pytest.raises(UnsupportedSemigroupError):
+            sg.invariants()
+        with pytest.raises(UnsupportedSemigroupError):
+            sg.okounkov_body()
+
+
 def test_counts_bitset_matches_enumeration():
     sg = GradedSemigroup.from_generators(
         2, 1, [((0, 0), (1,)), ((1, 0), (1,)), ((0, 1), (2,)),
