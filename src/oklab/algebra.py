@@ -105,35 +105,43 @@ class MonomialAlgebra:
         """(cone, exact) for the global Newton-Okounkov cone Delta(A).
 
         Rays carry the valuation block first and the degree block last.
-        Piecewise-linear staircases get an exact H-representation; other
-        rule sources only an inner approximation from the points of
-        degree <= bound (exact = False), as `_is_polyhedral` tells.
+        Generated sources and piecewise-linear staircases get the exact
+        cone, built once per algebra (`_exact_cone`) with its
+        H-representation; other rule sources only an inner approximation
+        from the points of degree <= bound (exact = False), as
+        `_is_polyhedral` tells.
         """
-        src = self.semigroup.source
-        if self.is_generated:
-            rays = [val + deg for val, deg in self.semigroup.generators]
-            return make_cone(rays, self.r + self.s), True
-        if _is_polyhedral(src):
-            ineqs = []
-            dim = 1 + src.s
-            for f in src.lower.forms:
-                ineqs.append((Fraction(1),) + tuple(-Fraction(c) for c in f))
-            for f in src.upper.forms:
-                ineqs.append((Fraction(-1),) + tuple(Fraction(c) for c in f))
-            for i in range(src.s):
-                ineqs.append(tuple(Fraction(int(j == i + 1))
-                                   for j in range(dim)))
-            lines, rays = dd_extreme_rays(ineqs, dim)
-            if lines:
-                raise UnsupportedSemigroupError(
-                    "staircase cone is not pointed")
-            return make_cone(rays, dim), True
+        if self._exact_cone is not None:
+            return self._exact_cone, True
         pts = set()
         for t in range(1, bound + 1):
             for n in compositions(t, self.s):
                 pts.update(v + n for v in self.semigroup.graded_piece(n))
         rays = [p for p in pts if any(p)]
         return make_cone(rays, self.r + self.s), False
+
+    @functools.cached_property
+    def _exact_cone(self):
+        """Delta(A) of a generated or polyhedral source, else None."""
+        src = self.semigroup.source
+        if self.is_generated:
+            rays = [val + deg for val, deg in self.semigroup.generators]
+            return make_cone(rays, self.r + self.s)
+        if not _is_polyhedral(src):
+            return None
+        ineqs = []
+        dim = 1 + src.s
+        for f in src.lower.forms:
+            ineqs.append((Fraction(1),) + tuple(-Fraction(c) for c in f))
+        for f in src.upper.forms:
+            ineqs.append((Fraction(-1),) + tuple(Fraction(c) for c in f))
+        for i in range(src.s):
+            ineqs.append(tuple(Fraction(int(j == i + 1))
+                               for j in range(dim)))
+        lines, rays = dd_extreme_rays(ineqs, dim)
+        if lines:
+            raise UnsupportedSemigroupError("staircase cone is not pointed")
+        return make_cone(rays, dim)
 
     def krull_dim(self):
         return self._group.rank
@@ -407,8 +415,8 @@ def _stable_fit(fn, s, q, n0=None, cap=512):
     binomial tables, and only returned or reported fits get monomial
     coefficients.
     """
-    exps = [m for t in range(q + 1) for m in compositions(t, s)]
-    shells = [m for t in (q + 1, q + 2) for m in compositions(t, s)]
+    exps = tuple(m for t in range(q + 1) for m in compositions(t, s))
+    shells = tuple(m for t in (q + 1, q + 2) for m in compositions(t, s))
     n0 = n0 if n0 is not None else q + 1
     value = functools.cache(fn)
     plan = _difference_plan(exps)
@@ -452,13 +460,15 @@ def _difference_plan(exps):
     return plan
 
 
+@functools.lru_cache(maxsize=64)
 def _binomial_rows(points, exps, q, shift):
-    """[[prod_i C(shift + m_i, e_i) for e in exps] for m in points]."""
+    """((prod_i C(shift + m_i, e_i) for e in exps) for m in points), on
+    tuples: fits of one shape share their tables."""
     top = max(max(m) for m in points)
     table = [[math.comb(shift + t, e) for e in range(q + 1)]
              for t in range(top + 1)]
-    return [[math.prod(table[x][k] for x, k in zip(m, e)) for e in exps]
-            for m in points]
+    return tuple(tuple(math.prod(table[x][k] for x, k in zip(m, e))
+                       for e in exps) for m in points)
 
 
 def _dot(xs, ys):

@@ -15,6 +15,16 @@ least total degree of num below each point, minus its own).  So
 ``fixed_ideal_mixed_multiplicities`` with I = m^a counts one grid per
 J-multidegree, not one per point of its fit.  Families are power
 families, explicit lists, or the homogenization of a convex body.
+
+Powers and body families carry a homogeneity index D: J_{kD} has the
+integral closure of J_D^k (D = 1 for powers, J_p = J^p; for a body K,
+D clears the denominators of K's vertices and of h, so D K is a lattice
+polytope and the Newton polyhedron of J_{kD} is k times that of J_D).
+Mixed multiplicities depend only on integral closures (Rees; Trung and
+Verma) and are homogeneous of degree d = num_vars, so the ladder's rung
+e(I_p | J_p) / p^d is the same at every multiple of D: it is counted
+once, at p = D, and the analytic spreads are taken there too when D is
+at most `_P_MAX`.
 """
 
 from __future__ import annotations
@@ -294,7 +304,13 @@ def _as_m_power(ideal):
 # graded families
 
 class GradedIdealFamily:
-    """A graded family {J_n} with J_0 = R and J_i J_j <= J_{i+j}."""
+    """A graded family {J_n} with J_0 = R and J_i J_j <= J_{i+j}.
+
+    ``homogeneity`` is an index D with J_{kD} integral over J_D^k for
+    every k, or None when the family has none (the module docstring).
+    """
+
+    homogeneity = None
 
     def __init__(self, num_vars, beta):
         self.num_vars = num_vars
@@ -323,6 +339,8 @@ class GradedIdealFamily:
 
 
 class PowersFamily(GradedIdealFamily):
+    homogeneity = 1
+
     def __init__(self, base):
         super().__init__(base.num_vars, beta=base.max_gen_degree())
         self.base = base
@@ -383,6 +401,9 @@ class BodyFamily(GradedIdealFamily):
         super().__init__(d + 1, beta=h)
         self.body = body
         self.h = h
+        self.homogeneity = math.lcm(
+            Fraction(h).denominator,
+            *(Fraction(x).denominator for v in body.vertices for x in v))
         self._memo = {}
 
     def ideal(self, n):
@@ -558,8 +579,23 @@ def fixed_ideal_mixed_multiplicities(ideal_i, ideals_j):
     return out
 
 
+def _common_homogeneity(fams):
+    """The lcm D of the families' homogeneity indices, or None when one
+    of them has none."""
+    indices = [fam.homogeneity for fam in fams]
+    return None if None in indices else math.lcm(*indices)
+
+
 def family_mixed_multiplicities(ifam, jfams, dtype, p_schedule=(1, 2, 4)):
-    """e_{(d0,d)} of the families via the ladder over fixed-p ideals."""
+    """e_{(d0,d)} of the families via the ladder over fixed-p ideals.
+
+    The rung at p is e_{(d0,d)}(I_p | J_p) / p^d.  When I and every J
+    have a homogeneity index, D is their lcm, and the rung at every
+    multiple of D is the rung at D, counted once (even if D is not in
+    the schedule): J_{kD} is integral over J_D^k, mixed multiplicities
+    depend only on integral closures, and they scale by k^d.  Any other
+    rung, and every rung of an explicit family, is counted on its own.
+    """
     d = ifam.num_vars
     if any(f.num_vars != d for f in jfams):
         raise ValidationError("families live in different rings")
@@ -569,7 +605,12 @@ def family_mixed_multiplicities(ifam, jfams, dtype, p_schedule=(1, 2, 4)):
             f"type {dtype} must be in N^{len(jfams) + 1} with "
             f"d0 + |d| = {d - 1}")
 
+    period = _common_homogeneity([ifam, *jfams])
+
+    @functools.cache
     def rung(p):
+        if period is not None and p % period == 0 and p != period:
+            return rung(period)
         mm = fixed_ideal_mixed_multiplicities(
             ifam.ideal(p), [f.ideal(p) for f in jfams])
         return Fraction(mm.get((d0,) + dvec, Fraction(0)), p ** d)
@@ -590,13 +631,20 @@ def analytic_spread(ideal):
                             for g in ideal.min_gens]).affine_dim
 
 
+# The largest p at which `family_positivity` builds the families' ideals.
+_P_MAX = 64
+
+
 def family_positivity(jfams, dtype):
     """Positivity of e_{(d0,d)}(M | families) with a certificate.
 
     Checks, for every nonempty subset of the families, that
-    sum of d_j <= l(prod_j J(j)_p) - 1, at a p where the analytic
-    spreads have stabilized (identical at p and 2p, from the least p
-    where every J(j)_p is nonzero), by `subset_positivity`.
+    sum of d_j <= l(prod_j J(j)_p) - 1, by `subset_positivity`.  When
+    every family has a homogeneity index, their lcm D is at most
+    _P_MAX and every J(j)_D is nonzero, p = D: the Newton polyhedra at
+    p = kD are k times those at D, so the spreads at D are the limit.
+    Otherwise p is where the spreads have stabilized (identical at p
+    and 2p, from the least p <= _P_MAX where every J(j)_p is nonzero).
     """
     s = len(jfams)
     dvec = tuple(dtype[1:])
@@ -611,16 +659,21 @@ def family_positivity(jfams, dtype):
             product, (jfams[j - 1].ideal(p) for j in sub)))
             for sub in subsets}
 
-    p = next((p for p in range(1, 65)
-              if not any(fam.ideal(p).is_zero for fam in jfams)), None)
-    if p is None:
-        raise ValidationError("some family is zero up to p=64")
-    cur = spreads(p)
-    while (nxt := spreads(2 * p)) != cur:
-        cur, p = nxt, 2 * p
-        if p > 64:
-            raise ValidationError(
-                "analytic spreads did not stabilize up to p=64")
+    period = _common_homogeneity(jfams)
+    if period is not None and period <= _P_MAX and \
+            not any(fam.ideal(period).is_zero for fam in jfams):
+        cur = spreads(period)
+    else:
+        p = next((p for p in range(1, _P_MAX + 1)
+                  if not any(fam.ideal(p).is_zero for fam in jfams)), None)
+        if p is None:
+            raise ValidationError(f"some family is zero up to p={_P_MAX}")
+        cur = spreads(p)
+        while (nxt := spreads(2 * p)) != cur:
+            cur, p = nxt, 2 * p
+            if p > _P_MAX:
+                raise ValidationError(
+                    f"analytic spreads did not stabilize up to p={_P_MAX}")
     return subset_positivity(dvec, lambda sub: cur[sub] - 1)
 
 

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import fit_reference as ref
 import invariants_reference as inv_ref
 
+from oklab import algebra, polytope
 from oklab.algebra import (FiberVolume, MonomialAlgebra, _stable_fit,
                            ladder_report, subset_positivity)
 from oklab.errors import RegularityNotReachedError, ValidationError
@@ -62,6 +63,28 @@ def test_global_cone_min():
     cone, exact = min_algebra().global_no_cone()
     assert exact
     assert set(cone.rays) == {(0, 1, 0), (0, 0, 1), (1, 1, 1)}
+
+
+def test_staircase_cone_built_once(monkeypatch):
+    # 50 fiber volumes on one algebra: one cone build and its one
+    # H-representation, then one double description per fiber.
+    calls = {"cone": 0, "dd": 0}
+
+    def spy(key, fn):
+        def counted(*args):
+            calls[key] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(algebra, "make_cone",
+                        spy("cone", algebra.make_cone))
+    for module in (algebra, polytope):
+        monkeypatch.setattr(module, "dd_extreme_rays",
+                            spy("dd", module.dd_extreme_rays))
+    a = min_algebra()
+    values = [a.volume_fn_fiber((k, 2 * k + 1)).value for k in range(1, 51)]
+    assert values == list(range(1, 51))
+    assert calls == {"cone": 1, "dd": 52}
 
 
 def test_global_cone_segre():

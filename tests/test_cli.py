@@ -154,6 +154,28 @@ def test_mixed_volume_body_without_lattice_points_at_p1(tmp_path, capsys):
     assert report["family_positive"] is True
 
 
+def test_mixed_volume_family_positivity_at_the_homogeneity_index(
+        tmp_path, capsys):
+    # T and T/3: J_1 and J_2 of T/3 hold one point each, so the spreads
+    # at p = 1 and 2 agree and would read MV(T, T/3) = 1/3 as zero.  The
+    # families have homogeneity indices 1 and 3, so the spreads are
+    # taken at p = 3.  The ideal side reads rungs 1 and 2, neither a
+    # multiple of 3, and stays uncertified (not checked here).
+    payload = {"bodies": [
+        {"vertices": [["0", "0"], ["1", "0"], ["0", "1"]]},
+        {"vertices": [["0", "0"], ["1/3", "0"], ["0", "1/3"]]}]}
+    path = tmp_path / "bodies.json"
+    path.write_text(json.dumps(payload))
+    code, out, _ = run(capsys, "mixed-volume", "--input", str(path),
+                       "--type", "1,1", "--pschedule", "1,2",
+                       "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["geometric"] == "1/3"
+    assert report["geometric_positive"] is True
+    assert report["family_positive"] is True
+
+
 def test_verify_example_positional(capsys):
     code, out, _ = run(capsys, "verify-example", "golden")
     assert code == 0

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 from operator import add
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bhattacharya_reference as ref
+from oklab import ideals
 from oklab.errors import (ResourceLimitError, UnsupportedIdealError,
                           ValidationError)
 from oklab.ideals import (_FAR, BodyFamily, ExplicitFamily, PowersFamily,
@@ -585,3 +587,107 @@ def test_gap_table_guard_counts_what_it_holds(monkeypatch):
         tracemalloc.stop()
     assert peak <= 1024 * 1024
     assert got == want
+
+
+def _m_primary(draw):
+    """A random m-primary ideal in 2 variables: two pure powers plus up
+    to two monomials below them."""
+    a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    gens = [(a, 0), (0, b)] + draw(st.lists(
+        st.tuples(st.integers(0, a - 1), st.integers(0, b - 1)),
+        max_size=2))
+    return monomial_ideal(2, gens)
+
+
+_SEGMENT_END = st.builds(F, st.integers(0, 3), st.integers(1, 3)).filter(
+    lambda x: x <= 1)
+
+
+@st.composite
+def _homogeneous_families(draw):
+    """(I, J): I a powers family of an m-primary ideal, J a powers
+    family or the family of a segment in [0, 1] with h = 1, whose end
+    points have denominators 1-3."""
+    ifam = PowersFamily(_m_primary(draw))
+    if draw(st.booleans()):
+        return ifam, PowersFamily(_m_primary(draw))
+    ends = draw(st.lists(_SEGMENT_END, min_size=1, max_size=2))
+    return ifam, body_to_family(convex_hull([(x,) for x in ends]), 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_homogeneous_families())
+@example((PowersFamily(maximal_ideal(2)),
+          body_to_family(convex_hull([V(F(1, 2)), V(1)]), 1)))
+def test_rung_at_a_multiple_of_the_homogeneity_index(fams):
+    # The certificate behind the ladder: the rung e(I_p | J_p) / p^d,
+    # counted directly at p = 2D, equals the rung at p = D.  The example
+    # has D = 2, and its rungs at p = 1 and 2 differ (x against x m).
+    ifam, jfam = fams
+    D = math.lcm(ifam.homogeneity, jfam.homogeneity)
+
+    def rung(p):
+        mm = fixed_ideal_mixed_multiplicities(ifam.ideal(p), [jfam.ideal(p)])
+        return {t: v / p ** 2 for t, v in mm.items()}
+
+    assert rung(2 * D) == rung(D)
+
+
+@pytest.fixture
+def counted_rungs(monkeypatch):
+    """The I of every fixed-ideal fit a test makes, in call order."""
+    calls = []
+    real = ideals.fixed_ideal_mixed_multiplicities
+
+    def spy(i, js):
+        calls.append(i)
+        return real(i, js)
+
+    monkeypatch.setattr(ideals, "fixed_ideal_mixed_multiplicities", spy)
+    return calls
+
+
+def test_certified_ladder_counts_one_rung(counted_rungs):
+    # Powers families have D = 1: every rung is read from rung(1), which
+    # is counted even when 1 is not in the schedule.
+    m = maximal_ideal(2)
+    report = family_mixed_multiplicities(
+        PowersFamily(m), [PowersFamily(power(m, 2))], (0, 1), (2, 4))
+    assert report.ladder == ((2, 2), (4, 2)) and report.provenance == "exact"
+    assert counted_rungs == [m]
+
+
+def test_explicit_family_ladder_counts_every_rung(counted_rungs):
+    m = maximal_ideal(2)
+    explicit = ExplicitFamily([power(m, n) for n in range(5)])
+    report = family_mixed_multiplicities(
+        PowersFamily(m), [explicit], (1, 0), (1, 2, 4))
+    assert [v for _, v in report.ladder] == [1, 1, 1]
+    assert counted_rungs == [m, power(m, 2), power(m, 4)]
+
+
+def test_family_positivity_of_a_zero_powers_family():
+    zero = PowersFamily(monomial_ideal(2, []))
+    with pytest.raises(ValidationError, match="some family is zero"):
+        family_positivity([zero], (0, 1))
+
+
+def test_family_positivity_past_the_largest_p():
+    # The second body has vertex denominators 101 and 103, so D = 10403:
+    # its J_D would take about 10^8 membership tests.  The spreads are
+    # found by doubling from p = 1 instead, and no ideal past p = 64 is
+    # built.
+    tri = convex_hull([V(0, 0), V(1, 0), V(0, 1)])
+    big = convex_hull([V(0, 0), V(F(100, 101), 0), V(0, F(102, 103))])
+    fams = [body_to_family(tri, 1), body_to_family(big, 1)]
+    assert fams[1].homogeneity == 10403
+
+    def bounded(real):
+        def ideal(n):
+            assert n <= 64, f"J_{n} built"
+            return real(n)
+        return ideal
+
+    for fam in fams:
+        fam.ideal = bounded(fam.ideal)
+    assert family_positivity(fams, (0, 1, 1)) == (True, None)
