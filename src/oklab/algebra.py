@@ -22,12 +22,13 @@ from itertools import combinations, product
 
 from .errors import (RegularityNotReachedError, UnsupportedSemigroupError,
                      ValidationError)
-from .lattice import (group_generated, integer_kernel, saturation,
-                      subgroup_index)
+from .lattice import (group_generated, integer_kernel, rational_rank,
+                      saturation, subgroup_index)
 from .polytope import (MultidegreePolynomial, compositions,
                        cone_fiber, dd_extreme_rays, integral_volume,
                        make_cone)
-from .semigroup import Generators, GradedSemigroup, StaircaseSpec, tail_fit
+from .semigroup import (Generators, GradedSemigroup, StaircaseSpec,
+                        closure_doubt, tail_fit)
 
 
 @dataclass(frozen=True)
@@ -144,6 +145,13 @@ class MonomialAlgebra:
         return make_cone(rays, dim)
 
     def krull_dim(self):
+        return self._krull_dim
+
+    @functools.cached_property
+    def _krull_dim(self):
+        src = self.semigroup.source
+        if isinstance(src, StaircaseSpec) and not _is_polyhedral(src):
+            return self.dim_subalgebra(range(1, self.s + 1))
         return self._group.rank
 
     @functools.cached_property
@@ -151,32 +159,46 @@ class MonomialAlgebra:
         return group_generated(self._generator_vectors(), self.r + self.s)
 
     def dim_subalgebra(self, axes):
-        """dim of A_(J): degrees supported on the axis subset J."""
+        """dim of A_(J): degrees supported on the axis subset J.
+
+        A non-polyhedral staircase reads the rank of the piece endpoints
+        (lo(n), n), (up(n), n), 1 <= |n| <= 8, supported on J (every piece
+        point lies between them), in degree order until it is 1 + |J|, the
+        most it can be.  Only certified rules (`closure_doubt`) are sure
+        never to raise; others read every bound, so a negative Q raises
+        where it does.
+        """
         axes = frozenset(axes)
         if not axes <= set(range(1, self.s + 1)):
             raise ValidationError(f"axes {sorted(axes)} must be within "
                                   f"1..{self.s}")
-        vecs = [v for v in self._generator_vectors()
-                if all(v[self.r + i] == 0
-                       for i in range(self.s) if i + 1 not in axes)]
-        return group_generated(vecs, self.r + self.s).rank
+        src = self.semigroup.source
+        if not isinstance(src, StaircaseSpec) or _is_polyhedral(src):
+            vecs = [v for v in self._generator_vectors()
+                    if all(v[self.r + i] == 0
+                           for i in range(self.s) if i + 1 not in axes)]
+            return group_generated(vecs, self.r + self.s).rank
+        top = len(axes) + 1 if self._certified else math.inf
+        basis = []
+        for v in ((j,) + n for t in range(1, 9)
+                  for n in compositions(t, self.s)
+                  for lo, up in [src.bounds(n)] if lo <= up and
+                  all(x == 0 or i + 1 in axes for i, x in enumerate(n))
+                  for j in (lo, up)):
+            if rational_rank(basis + [v]) > len(basis):
+                basis.append(v)
+                if len(basis) == top:
+                    break
+        return len(basis)
+
+    @functools.cached_property
+    def _certified(self):
+        return closure_doubt(self.semigroup.source) is None
 
     def _generator_vectors(self):
-        """Vectors spanning the group of A, or of an A_(J) by support.
-
-        A non-polyhedral staircase gives the piece endpoints (lo(n), n)
-        and (up(n), n) for 1 <= |n| <= 8: every piece point lies between
-        them, so they span what the enumerated cone's rays span, and so
-        does each degree face.
-        """
-        src = self.semigroup.source
+        """Vectors spanning the group of A, or of an A_(J) by support."""
         if self.is_generated:
             return [val + deg for val, deg in self.semigroup.generators]
-        if isinstance(src, StaircaseSpec) and not _is_polyhedral(src):
-            return [(j,) + n for t in range(1, 9)
-                    for n in compositions(t, self.s)
-                    for lo, up in [src.bounds(n)] if lo <= up
-                    for j in (lo, up)]
         cone, _ = self.global_no_cone()
         return list(cone.rays)
 

@@ -245,9 +245,7 @@ def build_parser():
                         help="degree bound for the enumerated cone of a "
                              "non-polyhedral staircase (no-body, fiber) "
                              "and for the decomposability check of a "
-                             "staircase (mixed-mult); default 8. "
-                             "Staircase closure is always checked up to "
-                             "degree 8")
+                             "staircase (mixed-mult); default 8")
     return parser
 
 

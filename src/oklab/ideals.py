@@ -18,13 +18,13 @@ families, explicit lists, or the homogenization of a convex body.
 
 Powers and body families carry a homogeneity index D: J_{kD} has the
 integral closure of J_D^k (D = 1 for powers, J_p = J^p; for a body K,
-D clears the denominators of K's vertices and of h, so D K is a lattice
-polytope and the Newton polyhedron of J_{kD} is k times that of J_D).
+D clears the denominators of K's vertices, so D K is a lattice polytope
+and the Newton polyhedron of J_{kD} is k times that of J_D).
 Mixed multiplicities depend only on integral closures (Rees; Trung and
 Verma) and are homogeneous of degree d = num_vars, so the ladder's rung
 e(I_p | J_p) / p^d is the same at every multiple of D: it is counted
-once, at p = D, and the analytic spreads are taken there too when D is
-at most `_P_MAX`.
+once, at p = D.  When D is at most `_P_MAX`, rung(D) is the value and
+the analytic spreads are taken at D too.
 """
 
 from __future__ import annotations
@@ -32,14 +32,14 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from .errors import ResourceLimitError, UnsupportedIdealError, \
-    ValidationError, memory_limit_bytes
+from .errors import RegularityNotReachedError, ResourceLimitError, \
+    UnsupportedIdealError, ValidationError, memory_limit_bytes
 from .polytope import convex_hull, minkowski_sum, mixed_volume
 from .algebra import _stable_fit, ladder_report, subset_positivity
 from .semigroup import tail_fit
@@ -384,7 +384,7 @@ class BodyFamily(GradedIdealFamily):
     """Family of homogenized lattice-point ideals of a convex body.
 
     J_n is generated by the monomials (a, nh - |a|) over the lattice
-    points a of n*K; all generators sit in total degree nh.
+    points a of n*K; all generators sit in total degree nh (h integral).
     """
 
     def __init__(self, body, h):
@@ -394,15 +394,14 @@ class BodyFamily(GradedIdealFamily):
         if any(x < 0 for v in body.vertices for x in v):
             raise ValidationError("body must lie in the nonnegative orthant")
         hmax = max(sum(v) for v in body.vertices)
-        if Fraction(h) < hmax:
+        if Fraction(h).denominator != 1 or h < hmax:
             raise ValidationError(
-                f"homogenization level {h} is below the maximum coordinate "
-                f"sum {hmax} over the body")
+                f"homogenization level h = {h} must be an integer of at "
+                f"least {hmax}, the maximum coordinate sum over the body")
         super().__init__(d + 1, beta=h)
         self.body = body
-        self.h = h
+        self.h = int(h)
         self.homogeneity = math.lcm(
-            Fraction(h).denominator,
             *(Fraction(x).denominator for v in body.vertices for x in v))
         self._memo = {}
 
@@ -579,6 +578,11 @@ def fixed_ideal_mixed_multiplicities(ideal_i, ideals_j):
     return out
 
 
+# The largest p at which the families' ideals are built off the
+# schedule: rung(D) and the spreads at D or by doubling.
+_P_MAX = 64
+
+
 def _common_homogeneity(fams):
     """The lcm D of the families' homogeneity indices, or None when one
     of them has none."""
@@ -593,8 +597,10 @@ def family_mixed_multiplicities(ifam, jfams, dtype, p_schedule=(1, 2, 4)):
     have a homogeneity index, D is their lcm, and the rung at every
     multiple of D is the rung at D, counted once (even if D is not in
     the schedule): J_{kD} is integral over J_D^k, mixed multiplicities
-    depend only on integral closures, and they scale by k^d.  Any other
-    rung, and every rung of an explicit family, is counted on its own.
+    depend only on integral closures, and they scale by k^d: rung(D) is
+    the "exact" value when D <= _P_MAX and it is counted within the
+    memory guard and the fit cap; else the ladder answers.  Other rungs
+    are counted on their own.
     """
     d = ifam.num_vars
     if any(f.num_vars != d for f in jfams):
@@ -615,10 +621,18 @@ def family_mixed_multiplicities(ifam, jfams, dtype, p_schedule=(1, 2, 4)):
             ifam.ideal(p), [f.ideal(p) for f in jfams])
         return Fraction(mm.get((d0,) + dvec, Fraction(0)), p ** d)
 
-    return ladder_report(
+    report = ladder_report(
         (d0,) + dvec, rung, p_schedule,
         lambda value: value > 0 if isinstance(value, Fraction)
         else value > 1e-9)
+    if period is None or period > _P_MAX:
+        return report
+    try:
+        value = rung(period)
+    except (ResourceLimitError, RegularityNotReachedError):
+        return report  # rung(D) is out of reach: the ladder answers
+    return replace(report, value=value, provenance="exact",
+                   positive=value > 0)
 
 
 def analytic_spread(ideal):
@@ -629,10 +643,6 @@ def analytic_spread(ideal):
             "ideals only")
     return 1 + convex_hull([tuple(Fraction(x) for x in g)
                             for g in ideal.min_gens]).affine_dim
-
-
-# The largest p at which `family_positivity` builds the families' ideals.
-_P_MAX = 64
 
 
 def family_positivity(jfams, dtype):

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import (EmptyTruncationError, ResourceLimitError,
                      UnsupportedSemigroupError, ValidationError,
                      memory_limit_bytes)
-from .lattice import echelon, group_generated, integer_kernel, \
+from .lattice import echelon, group_generated, int_det, integer_kernel, \
     saturation, subgroup_index
 from .polytope import Polytope, convex_hull, integral_volume
 
@@ -211,39 +211,36 @@ class StaircaseSpec:
                     self.upper.line(n_max, "upper"))]
 
 
-def _check_staircase_closure(spec, bound):
-    """Sub/superadditivity of the bounds over the test box.
+def closure_doubt(spec):
+    """Why a staircase is not certified closed under addition, or None.
 
-    One integer table holds both bounds at every degree |n| <= 2 * bound,
-    keyed by the digits of n in base 2 * bound + 1, so the key of a sum
-    m + n is the sum of the keys.  The degrees 1 <= |n| <= bound, then 0,
-    are read first and in that order, so a bad rule raises where it
-    always did; a negative quadratic form at a larger degree fails only
-    a pair that sums to it.  The pairs are tested in the order (m, then
-    n), and the first failing one is reported.  pointset(0) = {0} holds
-    for every rule: forms and Q vanish at 0.
+    A subadditive lower bound and a superadditive upper one close it, as
+    ceilings of sublinear functions (lower linear, max, ceil_sqrt_quadratic
+    with Q positive semidefinite, where sqrt(Q) is a seminorm) and floors
+    of superlinear ones (upper linear, min) are.  A lower min or upper max
+    is certified when one form, read as `_dot` reads them, dominates the
+    others coordinatewise: on N^s it is that form.  No bound is evaluated.
     """
-    from .polytope import compositions
-    s = spec.s
-    radix = [(2 * bound + 1) ** (s - 1 - i) for i in range(s)]
-    degrees = [d for t in range(1, bound + 1) for d in compositions(t, s)]
-    table = {_dot(radix, n): spec.bounds(n) for n in degrees + [(0,) * s]}
-    for t in range(bound + 1, 2 * bound + 1):
-        for n in compositions(t, s):
-            try:
-                table[_dot(radix, n)] = spec.bounds(n)
-            except ValidationError:  # a negative quadratic form
-                table[_dot(radix, n)] = None
-    live = [(_dot(radix, n), n) + table[_dot(radix, n)] for n in degrees]
-    live = [row for row in live if row[2] <= row[3]]
-    for km, m, lm, um in live:
-        for kn, n, ln, un in live:
-            at = table[km + kn]
-            if at is None:
-                raise _negative_at(tuple(map(operator.add, m, n)))
-            if at[0] > lm + ln or at[1] < um + un:
-                raise ValidationError(
-                    f"staircase not closed under addition at {m} + {n}")
+    for rule, side, pick in ((spec.lower, "lower", min),
+                             (spec.upper, "upper", max)):
+        if rule.kind == pick.__name__:  # a lower min or an upper max
+            rows = [(f + [0] * spec.s)[:spec.s] for f in rule._compiled[0]]
+            if list(map(pick, zip(*rows))) not in rows:
+                return (f"no form of the {side} {rule.kind} rule dominates "
+                        "the others coordinatewise")
+        elif rule.kind == "ceil_sqrt_quadratic" and side == "upper":
+            return "an upper ceil_sqrt_quadratic rule is never certified"
+        elif rule.kind == "ceil_sqrt_quadratic" and \
+                not _positive_semidefinite(rule.quadratic):
+            return "the lower rule's Q is not positive semidefinite"
+    return None
+
+
+def _positive_semidefinite(q):
+    """Whether every principal minor of the symmetric Q + Q^T is >= 0."""
+    return all(int_det([[q[i][j] + q[j][i] for j in sub] for i in sub]) >= 0
+               for t in range(1, len(q) + 1)
+               for sub in itertools.combinations(range(len(q)), t))
 
 
 # ---------------------------------------------------------------------------
@@ -386,15 +383,17 @@ class GradedSemigroup:
 
     @classmethod
     def from_staircase(cls, spec):
-        _check_staircase_closure(spec, 8)
+        if doubt := closure_doubt(spec):
+            raise ValidationError(
+                f"staircase closure cannot be certified: {doubt}")
         return cls(1, spec.s, spec)
 
     def veronese_ray(self, ray):
         """The singly graded semigroup of pieces along k * ray.
 
         A staircase restricts to the s = 1 staircase of its rules along
-        the ray (`StaircaseSpec.restrict`), built in closed form and with
-        no closure check: a restriction of a closed staircase is closed.
+        the ray (`StaircaseSpec.restrict`), built in closed form; a
+        restriction of a closed staircase is closed.
         Any other source is wrapped as a `VeroneseRay`.
         """
         ray = tuple(int(x) for x in ray)

@@ -184,7 +184,7 @@ def family_from_json(obj):
             ideals = [_ideal_fields(i) for i in body["explicit"]]
         elif kind == "from_body":
             vertices = body["from_body"]["vertices"]
-            h = int(body["from_body"]["h"])
+            h = str_to_frac(body["from_body"]["h"])
     except _SCHEMA_ERRORS as exc:
         raise _schema_error("family", exc) from exc
     if kind == "powers":

@@ -1,11 +1,13 @@
 """Reference Fraction evaluation of staircase rules, for the staircase tests.
 
-These are ``BoundRule.value``, ``_check_staircase_closure`` and the
-cone-ray Krull dimension as they were before the rules were compiled to
-integers: every bound is a sum of ``Fraction`` products rounded on its
-own, the closure check evaluates the bounds pair by pair, and the rank
-comes from the rays of the cone over every enumerated piece point.  They
-stay here as independent oracles only.
+These are ``BoundRule.value``, the bounded closure scan that once
+admitted staircases, and the cone-ray Krull dimension as they were
+before the rules were compiled to integers: every bound is a sum of
+``Fraction`` products rounded on its own, the closure scan evaluates the
+bounds pair by pair, and the rank comes from the rays of the cone over
+every enumerated piece point.  They stay here as independent oracles
+only; the library certifies closure from the rules
+(``semigroup.closure_doubt``).
 """
 
 import math

@@ -127,6 +127,38 @@ def test_ideal_family_command(tmp_path, capsys):
     assert json.loads(out)["value"] == "1"
 
 
+@pytest.mark.parametrize("schedule", [[], ["--pschedule", "1,2"]])
+def test_body_family_answers_its_certified_rung(tmp_path, capsys, schedule):
+    # J is the body family of [2/3, 1] with h = 1, so D = 3: the rungs at
+    # p = 1, 2 read 0 and the one at p = 4 reads 1/4, but the limit is
+    # rung(3) = 1/3 whatever the schedule.
+    payload = {"I": family_to_json(PowersFamily(maximal_ideal(2))),
+               "J": [{"family": {"from_body": {
+                   "vertices": [["2/3"], ["1"]], "h": 1}}}]}
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(payload))
+    code, out, _ = run(capsys, "ideal-family", "--input", str(path),
+                       "--type", "0,1", "--format", "json", *schedule)
+    assert code == 0
+    report = json.loads(out)
+    assert (report["value"], report["provenance"]) == ("1/3", "exact")
+    assert [p for p, _ in report["ladder"]] == \
+        ([1, 2] if schedule else [1, 2, 4, 8])
+
+
+@pytest.mark.parametrize("h", [1.5, "3/2"])
+def test_fractional_body_family_level_exits_2(tmp_path, capsys, h):
+    body = {"family": {"from_body": {"vertices": [["0"], ["1"]], "h": h}}}
+    payload = {"I": family_to_json(PowersFamily(maximal_ideal(2))),
+               "J": [body]}
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "ideal-family", "--input", str(path),
+                         "--type", "0,1")
+    assert (code, out) == (2, "")
+    assert "h = 3/2 must be an integer" in err
+
+
 def test_mixed_volume_command(tmp_path, capsys):
     seg1 = convex_hull([(F(0), F(0)), (F(1), F(0))])
     seg2 = convex_hull([(F(0), F(0)), (F(0), F(1))])
@@ -159,8 +191,8 @@ def test_mixed_volume_family_positivity_at_the_homogeneity_index(
     # T and T/3: J_1 and J_2 of T/3 hold one point each, so the spreads
     # at p = 1 and 2 agree and would read MV(T, T/3) = 1/3 as zero.  The
     # families have homogeneity indices 1 and 3, so the spreads are
-    # taken at p = 3.  The ideal side reads rungs 1 and 2, neither a
-    # multiple of 3, and stays uncertified (not checked here).
+    # taken at p = 3.  The ideal side is rung(3) = 1/3 too, though the
+    # schedule's rungs 1 and 2 read 0.
     payload = {"bodies": [
         {"vertices": [["0", "0"], ["1", "0"], ["0", "1"]]},
         {"vertices": [["0", "0"], ["1/3", "0"], ["0", "1/3"]]}]}
@@ -174,6 +206,8 @@ def test_mixed_volume_family_positivity_at_the_homogeneity_index(
     assert report["geometric"] == "1/3"
     assert report["geometric_positive"] is True
     assert report["family_positive"] is True
+    assert report["ideal"] == pytest.approx(1 / 3)
+    assert report["verdict"] == "AGREE"
 
 
 def test_verify_example_positional(capsys):
@@ -294,6 +328,39 @@ def test_malformed_staircase_rule_exits_2(tmp_path, capsys, command, name):
     assert "Traceback" not in err
 
 
+UNCERTIFIED_STAIRCASES = {
+    # Pieces {0, 1} at (20, 0), (0, 20) and (20, 20): 1 + 1 is missing,
+    # though every pair with |m|, |n| <= 8 adds up.
+    "upper-max-not-dominated": (_staircase(ZERO_LOWER, {
+        "kind": "max", "forms": [["1/20", "0"], ["0", "1/20"]]}),
+        "no form of the upper max rule dominates"),
+    "lower-q-not-psd": (_staircase({
+        "kind": "ceil_sqrt_quadratic", "quadratic": [[1, -4], [0, 1]]},
+        MIN_UPPER), "not positive semidefinite"),
+    "upper-ceil-sqrt": (_staircase(ZERO_LOWER, {
+        "kind": "ceil_sqrt_quadratic", "quadratic": [[4, 0], [0, 4]]}),
+        "upper ceil_sqrt_quadratic"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNCERTIFIED_STAIRCASES))
+def test_uncertified_staircase_exits_2(tmp_path, capsys, name):
+    payload, reason = UNCERTIFIED_STAIRCASES[name]
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "volume-fn", "--input", str(path),
+                         "--x", "1,1")
+    assert (code, out) == (2, "")
+    assert "closure cannot be certified" in err and reason in err
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_every_preset_is_accepted(capsys, name):
+    code, out, _ = run(capsys, "hilbert", "--example", name, "--x",
+                       ",".join(["1"] * PRESETS[name]["s"]))
+    assert code == 0 and "value:" in out
+
+
 def test_bound_help_names_what_it_reaches(monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "1000")  # no line breaks at hyphens
     with pytest.raises(SystemExit):
@@ -302,8 +369,9 @@ def test_bound_help_names_what_it_reaches(monkeypatch, capsys):
     assert "closure/decomposability" not in text
     assert ("--bound BOUND degree bound for the enumerated cone of a "
             "non-polyhedral staircase (no-body, fiber) and for the "
-            "decomposability check of a staircase (mixed-mult); default 8. "
-            "Staircase closure is always checked up to degree 8") in text
+            "decomposability check of a staircase (mixed-mult); default 8")\
+        in text
+    assert "closure" not in text
 
 
 POWERS_BAD_VARS = {"family": {"powers": {"vars": "a", "gens": [[1]]}}}

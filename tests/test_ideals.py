@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import bhattacharya_reference as ref
 from oklab import ideals
-from oklab.errors import (ResourceLimitError, UnsupportedIdealError,
-                          ValidationError)
+from oklab.errors import (RegularityNotReachedError, ResourceLimitError,
+                          UnsupportedIdealError, ValidationError)
 from oklab.ideals import (_FAR, BodyFamily, ExplicitFamily, PowersFamily,
                           _bhattacharya_value, _mpower_colengths,
                           _numerator_colengths, _numerator_grid,
@@ -235,6 +235,15 @@ def test_body_family_h_too_small():
     square = convex_hull([V(0, 0), V(1, 0), V(0, 1), V(1, 1)])
     with pytest.raises(ValidationError):
         body_to_family(square, 1)
+
+
+def test_body_family_fractional_h():
+    # J_n sits in degree n h, so h = 3/2 would give J_1 no generators of
+    # integral degree; it is rejected by name, not as an ungraded family.
+    seg = convex_hull([V(0), V(1)])
+    with pytest.raises(ValidationError, match=r"h = 3/2 must be an integer"):
+        BodyFamily(seg, F(3, 2))
+    assert BodyFamily(seg, F(2)).h == 2
 
 
 def test_body_family_growth_bound():
@@ -691,3 +700,47 @@ def test_family_positivity_past_the_largest_p():
     for fam in fams:
         fam.ideal = bounded(fam.ideal)
     assert family_positivity(fams, (0, 1, 1)) == (True, None)
+
+
+def test_certified_rung_past_the_largest_p():
+    # D = 10403 is past _P_MAX, so rung(D) is not the value: no J_p with
+    # p > 64 is built, and the answer is the ladder's, as it was before
+    # rung(D) became the value.
+    tri = convex_hull([V(0, 0), V(1, 0), V(0, 1)])
+    big = convex_hull([V(0, 0), V(F(100, 101), 0), V(0, F(102, 103))])
+    fams = [body_to_family(tri, 1), body_to_family(big, 1)]
+
+    def bounded(real):
+        def ideal(n):
+            assert n <= 64, f"J_{n} built"
+            return real(n)
+        return ideal
+
+    for fam in fams:
+        fam.ideal = bounded(fam.ideal)
+    report = family_mixed_multiplicities(
+        PowersFamily(maximal_ideal(3)), fams, (0, 1, 1), (1, 2))
+    assert report.ladder == ((1, 0), (2, F(1, 2)))
+    assert (report.value, report.provenance) == (1.0, "extrapolated")
+
+
+@pytest.mark.parametrize("error", [ResourceLimitError,
+                                   RegularityNotReachedError])
+def test_certified_rung_out_of_reach_leaves_the_ladder(monkeypatch, error):
+    # J is the body family of [2/3, 1], D = 3.  When rung(3) hits the
+    # memory guard or the fit cap, the ladder's answer stands.
+    m = maximal_ideal(2)
+    real = ideals.fixed_ideal_mixed_multiplicities
+
+    def refuse_rung_3(i, js):
+        if i == power(m, 3):
+            raise error("out of reach")
+        return real(i, js)
+
+    monkeypatch.setattr(ideals, "fixed_ideal_mixed_multiplicities",
+                        refuse_rung_3)
+    seg = convex_hull([V(F(2, 3)), V(1)])
+    report = family_mixed_multiplicities(
+        PowersFamily(m), [body_to_family(seg, 1)], (0, 1), (1, 2))
+    assert report.ladder == ((1, 0), (2, 0))
+    assert (report.value, report.provenance) == (0, "exact")

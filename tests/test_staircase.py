@@ -17,8 +17,10 @@ from hypothesis import example, given, settings, strategies as st
 import staircase_reference as ref
 from oklab.algebra import MonomialAlgebra
 from oklab.errors import ValidationError
+from oklab.presets import preset
+from oklab.serialize import algebra_from_json
 from oklab.semigroup import BoundRule, GradedSemigroup, StaircaseSpec, \
-    _check_staircase_closure
+    _positive_semidefinite, closure_doubt
 
 F = Fraction
 KINDS = ("linear", "max", "min", "ceil_sqrt_quadratic")
@@ -94,31 +96,72 @@ closed_specs = specs(lower=("linear", "max", "ceil_sqrt_quadratic"),
 
 
 @settings(max_examples=300)
-@given(st.one_of(closed_specs, specs()), st.integers(0, 5))
-# Q(0, 1) = Q(1, 0) = 1 but Q(1, 1) = -2: the first pair whose sum is
-# (1, 1) fails on the negative form, after (0, 1) + (0, 1) passes.
+@given(st.one_of(closed_specs, specs()))
+# Q(0, 1) = Q(1, 0) = 1 but Q(1, 1) = -2: not positive semidefinite.
 @example(StaircaseSpec(2, BoundRule("ceil_sqrt_quadratic",
                                     quadratic=((1, -4), (0, 1))),
-                       BoundRule("linear", ((F(2), F(2)),))), 1)
+                       BoundRule("linear", ((F(2), F(2)),))))
 # The presets: nonpoly and min are closed, a convex upper rule is not.
 @example(StaircaseSpec(2, BoundRule("ceil_sqrt_quadratic",
                                     quadratic=((4, 0), (0, 4))),
-                       BoundRule("linear", ((F(2), F(2)),))), 8)
+                       BoundRule("linear", ((F(2), F(2)),))))
 @example(StaircaseSpec(2, BoundRule("linear", ((F(0), F(0)),)),
-                       BoundRule("min", ((F(1), F(0)), (F(0), F(1))))), 8)
+                       BoundRule("min", ((F(1), F(0)), (F(0), F(1))))))
 @example(StaircaseSpec(2, BoundRule("linear", ((F(0), F(0)),)),
-                       BoundRule("max", ((F(1), F(0)), (F(0), F(1))))), 8)
+                       BoundRule("max", ((F(1), F(0)), (F(0), F(1))))))
+# A dominated upper max and lower min are their dominant forms.
+@example(StaircaseSpec(2, BoundRule("min", ((F(1, 2), F(1)), (F(1), F(1)))),
+                       BoundRule("max", ((F(2), F(3)), (F(2), F(5, 2))))))
 # Numbers past int64.
 @example(StaircaseSpec(2, BoundRule("linear", ((F(-10 ** 30), F(0)),)),
                        BoundRule("max", ((F(10 ** 30, 7), F(1)),
-                                         (F(1), F(10 ** 30))))), 5)
+                                         (F(1), F(10 ** 30))))))
 @example(StaircaseSpec(2, BoundRule("ceil_sqrt_quadratic",
                                     quadratic=((10 ** 30, 0), (0, 10 ** 30))),
                        BoundRule("min", ((F(10 ** 30, 7), F(10 ** 30)),
-                                         (F(10 ** 30), F(10 ** 30))))), 5)
-def test_closure_check_matches_reference(spec, bound):
-    assert outcome(_check_staircase_closure, spec, bound) == \
-        outcome(ref.check_closure, spec, bound)
+                                         (F(10 ** 30), F(10 ** 30))))))
+def test_certified_staircases_pass_the_reference_scan(spec):
+    # The scan at bound 8 tests every pair that the bounds 1..7 test.
+    if closure_doubt(spec) is None:
+        ref.check_closure(spec, 8)
+        GradedSemigroup.from_staircase(spec)
+    else:
+        with pytest.raises(ValidationError, match="cannot be certified"):
+            GradedSemigroup.from_staircase(spec)
+
+
+@settings(max_examples=100)
+@given(closed_specs)
+def test_closed_by_construction_is_certified(spec):
+    assert closure_doubt(spec) is None
+
+
+def test_from_staircase_evaluates_no_bound(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a bound was evaluated")
+
+    monkeypatch.setattr(BoundRule, "value", refuse)
+    monkeypatch.setattr(BoundRule, "line", refuse)
+    for name in ("nonpoly", "min", "concave-pl", "golden"):
+        algebra_from_json(preset(name))
+    with pytest.raises(ValidationError, match="cannot be certified"):
+        GradedSemigroup.from_staircase(StaircaseSpec(
+            2, BoundRule("linear", ((F(0), F(0)),)),
+            BoundRule("max", ((F(1, 20), F(0)), (F(0), F(1, 20))))))
+
+
+@pytest.mark.parametrize("rows, psd", [
+    (((4, 0), (0, 4)), True),
+    (((1, 1), (1, 1)), True),       # singular
+    (((1, 3), (-3, 1)), True),      # only the symmetric part counts
+    (((1, -4), (0, 1)), False),
+    (((0, 1), (1, 0)), False),      # nonnegative on N^2 all the same
+    (((0, 0), (0, -1)), False),     # leading minors 0, 0 miss it
+    (((2, -1, 0), (-1, 2, -1), (0, -1, 2)), True),
+    (((1, 2, 0), (2, 1, 0), (0, 0, 1)), False),
+])
+def test_positive_semidefinite_by_principal_minors(rows, psd):
+    assert _positive_semidefinite(rows) is psd
 
 
 def test_negative_form_along_the_ray_is_a_validation_error():
