@@ -20,15 +20,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .errors import (RegularityNotReachedError, UnsupportedSemigroupError,
-                     ValidationError)
+from .errors import (InternalConsistencyError, RegularityNotReachedError,
+                     UnsupportedSemigroupError, ValidationError)
 from .lattice import (group_generated, integer_kernel, rational_rank,
                       saturation, subgroup_index)
 from .polytope import (MultidegreePolynomial, compositions,
                        cone_fiber, dd_extreme_rays, integral_volume,
                        make_cone)
-from .semigroup import (Generators, GradedSemigroup, StaircaseSpec,
-                        closure_doubt, tail_fit)
+from .semigroup import GradedSemigroup, StaircaseSpec, tail_fit
 
 
 @dataclass(frozen=True)
@@ -106,13 +105,10 @@ class MonomialAlgebra:
         """(cone, exact) for the global Newton-Okounkov cone Delta(A).
 
         Rays carry the valuation block first and the degree block last.
-        Generated sources and piecewise-linear staircases get the exact
-        cone, built once per algebra (`_exact_cone`) with its
-        H-representation; other rule sources only an inner approximation
-        from the points of degree <= bound (exact = False), as
-        `_is_polyhedral` tells.
+        Exact sources (`_exact`) get it; others an inner approximation
+        from the points of degree <= bound (exact = False).
         """
-        if self._exact_cone is not None:
+        if self._exact:
             return self._exact_cone, True
         pts = set()
         for t in range(1, bound + 1):
@@ -122,14 +118,22 @@ class MonomialAlgebra:
         return make_cone(rays, self.r + self.s), False
 
     @functools.cached_property
+    def _exact(self):
+        """Whether Delta(A) is known exactly, the one classifier every route
+        reads: generators span it, and piecewise-linear rules in normal form
+        cut it out; a quadratic staircase and a Veronese ray have none."""
+        src = self.semigroup.source
+        return self.is_generated or isinstance(src, StaircaseSpec) and \
+            src.lower.kind in ("linear", "max") and \
+            src.upper.kind in ("linear", "min")
+
+    @functools.cached_property
     def _exact_cone(self):
-        """Delta(A) of a generated or polyhedral source, else None."""
+        """Delta(A) with its H-representation, built once per algebra."""
         src = self.semigroup.source
         if self.is_generated:
             rays = [val + deg for val, deg in self.semigroup.generators]
             return make_cone(rays, self.r + self.s)
-        if not _is_polyhedral(src):
-            return None
         ineqs = []
         dim = 1 + src.s
         for f in src.lower.forms:
@@ -149,8 +153,7 @@ class MonomialAlgebra:
 
     @functools.cached_property
     def _krull_dim(self):
-        src = self.semigroup.source
-        if isinstance(src, StaircaseSpec) and not _is_polyhedral(src):
+        if not self._exact:
             return self.dim_subalgebra(range(1, self.s + 1))
         return self._group.rank
 
@@ -159,62 +162,51 @@ class MonomialAlgebra:
         return group_generated(self._generator_vectors(), self.r + self.s)
 
     def dim_subalgebra(self, axes):
-        """dim of A_(J): degrees supported on the axis subset J.
-
-        A non-polyhedral staircase reads the rank of the piece endpoints
-        (lo(n), n), (up(n), n), 1 <= |n| <= 8, supported on J (every piece
-        point lies between them), in degree order until it is 1 + |J|, the
-        most it can be.  Only certified rules (`closure_doubt`) are sure
-        never to raise; others read every bound, so a negative Q raises
-        where it does.
-        """
+        """dim of A_(J), degrees supported on the axes J: the rank of the
+        exact cone's generators (or rays) on J, else the rational rank of
+        `piece_span` at 1 <= |n| <= 8 on J, read until it is r + |J|."""
         axes = frozenset(axes)
         if not axes <= set(range(1, self.s + 1)):
             raise ValidationError(f"axes {sorted(axes)} must be within "
                                   f"1..{self.s}")
-        src = self.semigroup.source
-        if not isinstance(src, StaircaseSpec) or _is_polyhedral(src):
+        if self._exact:
             vecs = [v for v in self._generator_vectors()
                     if all(v[self.r + i] == 0
                            for i in range(self.s) if i + 1 not in axes)]
             return group_generated(vecs, self.r + self.s).rank
-        top = len(axes) + 1 if self._certified else math.inf
         basis = []
-        for v in ((j,) + n for t in range(1, 9)
+        for v in (p + n for t in range(1, 9)
                   for n in compositions(t, self.s)
-                  for lo, up in [src.bounds(n)] if lo <= up and
-                  all(x == 0 or i + 1 in axes for i, x in enumerate(n))
-                  for j in (lo, up)):
+                  if all(x == 0 or i + 1 in axes for i, x in enumerate(n))
+                  for p in self.semigroup.piece_span(n)):
             if rational_rank(basis + [v]) > len(basis):
                 basis.append(v)
-                if len(basis) == top:
+                if len(basis) == self.r + len(axes):
                     break
         return len(basis)
-
-    @functools.cached_property
-    def _certified(self):
-        return closure_doubt(self.semigroup.source) is None
 
     def _generator_vectors(self):
         """Vectors spanning the group of A, or of an A_(J) by support."""
         if self.is_generated:
             return [val + deg for val, deg in self.semigroup.generators]
-        cone, _ = self.global_no_cone()
-        return list(cone.rays)
+        return list(self._exact_cone.rays)
 
     def volume_fn_fiber(self, x):
-        """F_A(x) = Vol_q(Delta(A)_x) / ind(A); exact when polyhedral,
-        else a counting estimate, with no cone built (`_is_polyhedral`)."""
+        """F_A(x) = Vol_q(Delta(A)_x) / ind(A) for x in the orthant; exact
+        with an exact cone (`_exact`), else a counting estimate."""
         x = [Fraction(v) for v in x]
         if len(x) != self.s:
             raise ValidationError(f"point {x} must have length {self.s}")
+        if min(x) < 0:
+            raise ValidationError(f"point ({', '.join(map(str, x))}) has a "
+                                  "negative coordinate, outside the orthant")
         if not all(self.axis_nonvanishing()):
             raise UnsupportedSemigroupError(
                 "volume function needs nonzero pieces on every axis")
         lam = math.lcm(*(v.denominator for v in x))
         n = tuple(int(v * lam) for v in x)
         q = self.krull_dim() - self.s
-        if not _is_polyhedral(self.semigroup.source):
+        if not self._exact:
             est = self.volume_fn_count(n, n_max=200)
             return FiberVolume(est / float(lam) ** q, "estimate")
         cone, _ = self.global_no_cone()
@@ -394,21 +386,13 @@ def subset_positivity(d, rank):
     return True, None
 
 
-def _is_polyhedral(source):
-    """Whether Delta of a source is exact: generators, or a staircase
-    with piecewise-linear convex lower and concave upper bounds."""
-    if isinstance(source, StaircaseSpec):
-        return source.lower.kind in ("linear", "max") and \
-            source.upper.kind in ("linear", "min")
-    return isinstance(source, Generators)
-
-
 def ladder_report(d, rung, p_schedule, positive):
     """Mixed multiplicity of type ``d`` from the ladder p -> rung(p).
 
     The value is exact once the last two rungs agree; otherwise one
     Richardson step extrapolates, since the ladder converges with O(1/p)
-    error.  ``positive(value)`` gives the positivity flag.
+    error.  ``positive(value)`` gives the positivity flag; an exact value
+    whose sign it contradicts raises ``InternalConsistencyError``.
     """
     if len(p_schedule) < 2 or min(p_schedule) < 1:
         raise ValidationError(f"p-schedule {tuple(p_schedule)} needs at "
@@ -419,8 +403,13 @@ def ladder_report(d, rung, p_schedule, positive):
         value, provenance = last, "exact"
     else:
         value, provenance = 2.0 * float(last) - float(prev), "extrapolated"
+    flag = positive(value)
+    if provenance == "exact" and flag != (value > 0):
+        raise InternalConsistencyError(
+            f"type {d}: exact value {value} > 0 is {value > 0}, but the "
+            f"positivity criterion says {flag}")
     return MixedMultiplicityReport(d=d, value=value, provenance=provenance,
-                                   ladder=ladder, positive=positive(value))
+                                   ladder=ladder, positive=flag)
 
 
 def _stable_fit(fn, s, q, n0=None, cap=512):

@@ -24,7 +24,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -158,6 +158,29 @@ class BoundRule:
         nums, den = self._compiled
         return _PICKS[self.kind](tuple(_dot(f, n) for f in nums)), den
 
+    def normal(self, s):
+        """The same rule on N^s in normal form, its forms read as `_dot`
+        reads them.  sqrt(Q(n)) = |g . n| (`_rank_one_root`) is `linear`
+        |g| when g has one sign, else `max` of g and -g.  A min or max
+        keeps, once each, the forms no other dominates under its pick; one
+        form left is `linear`."""
+        kind, forms = self.kind, self.forms[:1 if self.kind == "linear"
+                                            else None]
+        if kind == "ceil_sqrt_quadratic":
+            g = _rank_one_root(self.quadratic)
+            if g is None:
+                return self
+            kind, forms = ("linear", [[abs(c) for c in g]]) if \
+                min(g) >= 0 or max(g) <= 0 else ("max", [g, [-c for c in g]])
+        forms = list(dict.fromkeys(
+            tuple(Fraction(c) for c in (*f, *[0] * s)[:s]) for f in forms))
+        if kind != "linear":
+            pick = _PICKS[kind]
+            forms = [f for f in forms if not any(
+                g != f and tuple(map(pick, f, g)) == g for g in forms)]
+        return BoundRule("linear" if len(forms) == 1 else kind,
+                         tuple(forms))
+
     def restrict(self, ray):
         """The rule k -> value(k * ray) on N, in closed form.
 
@@ -188,13 +211,33 @@ class BoundRule:
         return [top * k // den for k in range(n_max + 1)]
 
 
+def _rank_one_root(q):
+    """An integer g with Q + Q^T = 2 g g^T, or None: |g_i| = isqrt(Q_ii),
+    signed as Q_ki + Q_ik for the first g_k != 0, and checked exactly."""
+    size = range(len(q))
+    g = [math.isqrt(max(q[i][i], 0)) for i in size]
+    k = next((i for i in size if g[i]), 0)
+    g = [-c if q[k][i] + q[i][k] < 0 else c for i, c in zip(size, g)]
+    if all(q[i][j] + q[j][i] == 2 * g[i] * g[j] for i in size for j in size):
+        return g
+    return None
+
+
 @dataclass(frozen=True)
 class StaircaseSpec:
-    """Degreewise rule pointset(n) = {(j, n) : lower(n) <= j <= upper(n)}."""
+    """Degreewise rule pointset(n) = {(j, n) : lower(n) <= j <= upper(n)},
+    its rules in normal form (`BoundRule.normal`) and ``written`` as given.
+    """
 
     s: int
     lower: BoundRule
     upper: BoundRule
+    written: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "written", (self.lower, self.upper))
+        object.__setattr__(self, "lower", self.lower.normal(self.s))
+        object.__setattr__(self, "upper", self.upper.normal(self.s))
 
     def bounds(self, n):
         return self.lower.value(n, "lower"), self.upper.value(n, "upper")
@@ -217,22 +260,25 @@ def closure_doubt(spec):
     A subadditive lower bound and a superadditive upper one close it, as
     ceilings of sublinear functions (lower linear, max, ceil_sqrt_quadratic
     with Q positive semidefinite, where sqrt(Q) is a seminorm) and floors
-    of superlinear ones (upper linear, min) are.  A lower min or upper max
-    is certified when one form, read as `_dot` reads them, dominates the
-    others coordinatewise: on N^s it is that form.  No bound is evaluated.
+    of superlinear ones (upper linear, min) are.  In normal form a lower
+    min or upper max has no dominating form, and is not certified.  No
+    bound is evaluated.
     """
-    for rule, side, pick in ((spec.lower, "lower", min),
-                             (spec.upper, "upper", max)):
-        if rule.kind == pick.__name__:  # a lower min or an upper max
-            rows = [(f + [0] * spec.s)[:spec.s] for f in rule._compiled[0]]
-            if list(map(pick, zip(*rows))) not in rows:
-                return (f"no form of the {side} {rule.kind} rule dominates "
-                        "the others coordinatewise")
+    for rule, written, side in zip((spec.lower, spec.upper), spec.written,
+                                   ("lower", "upper")):
+        if rule.kind == {"lower": "min", "upper": "max"}[side]:
+            why = (f"no form of the {side} {rule.kind} rule dominates the "
+                   "others coordinatewise")
         elif rule.kind == "ceil_sqrt_quadratic" and side == "upper":
-            return "an upper ceil_sqrt_quadratic rule is never certified"
+            why = "an upper ceil_sqrt_quadratic rule is never certified"
         elif rule.kind == "ceil_sqrt_quadratic" and \
                 not _positive_semidefinite(rule.quadratic):
-            return "the lower rule's Q is not positive semidefinite"
+            why = "the lower rule's Q is not positive semidefinite"
+        else:
+            continue
+        rows = "; ".join(", ".join(map(str, row))
+                         for row in written.quadratic or written.forms)
+        return f"{why} (the {side} rule as written: {written.kind} [{rows}])"
     return None
 
 
@@ -435,6 +481,14 @@ class GradedSemigroup:
             target = tuple(k * n[0] for k in self.source.ray)
             return self.source.parent.graded_piece(target)
         return self._piece_generated(n)
+
+    def piece_span(self, n):
+        """Valuation parts v whose points (v, n) span the piece at n over
+        Q: a staircase piece is an interval, spanned by its two ends."""
+        if isinstance(self.source, StaircaseSpec):
+            lo, up = self.source.bounds(n)
+            return [(lo,), (up,)] if lo <= up else []
+        return self.graded_piece(n)
 
     def _piece_generated(self, n):
         memo = self._piece_memo

@@ -11,7 +11,8 @@ import invariants_reference as inv_ref
 from oklab import algebra, polytope
 from oklab.algebra import (FiberVolume, MonomialAlgebra, _stable_fit,
                            ladder_report, subset_positivity)
-from oklab.errors import RegularityNotReachedError, ValidationError
+from oklab.errors import (InternalConsistencyError,
+                          RegularityNotReachedError, ValidationError)
 from oklab.polytope import compositions, cone_fiber
 from oklab.semigroup import BoundRule, StaircaseSpec
 
@@ -412,6 +413,18 @@ def test_ladder_report_extrapolates_disagreeing_rungs():
     assert rep.value == 1.0 and rep.positive
     with pytest.raises(ValidationError):
         ladder_report((1,), lambda p: F(1), (4,), lambda value: True)
+
+
+@pytest.mark.parametrize("value, flag", [(F(0), True), (F(1, 3), False)])
+def test_exact_ladder_against_positivity_raises(value, flag):
+    with pytest.raises(InternalConsistencyError,
+                       match=rf"type \(1,\): exact value {value} > 0 is "
+                             rf"{not flag}, but .* says {flag}"):
+        ladder_report((1,), lambda p: value, (1, 2), lambda v: flag)
+    # Only an exact value is held to the criterion.
+    rep = ladder_report((1,), lambda p: value + F(1, p), (1, 2),
+                        lambda v: flag)
+    assert rep.provenance == "extrapolated" and rep.positive is flag
 
 
 def test_stable_fit_recovers_fractional_coefficients():

@@ -340,6 +340,12 @@ UNCERTIFIED_STAIRCASES = {
     "upper-ceil-sqrt": (_staircase(ZERO_LOWER, {
         "kind": "ceil_sqrt_quadratic", "quadratic": [[4, 0], [0, 4]]}),
         "upper ceil_sqrt_quadratic"),
+    # sqrt(Q(n)) = |n1 - 2 n2|, the upper max of (1, -2) and (-1, 2); the
+    # message names the rule as written as well.
+    "upper-ceil-sqrt-mixed-sign": (_staircase(ZERO_LOWER, {
+        "kind": "ceil_sqrt_quadratic", "quadratic": [[1, -2], [-2, 4]]}),
+        "upper max rule dominates the others coordinatewise (the upper "
+        "rule as written: ceil_sqrt_quadratic [1, -2; -2, 4])"),
 }
 
 
@@ -352,6 +358,67 @@ def test_uncertified_staircase_exits_2(tmp_path, capsys, name):
                          "--x", "1,1")
     assert (code, out) == (2, "")
     assert "closure cannot be certified" in err and reason in err
+
+
+# Rules in disguise, each linear on N^2 in normal form, and the item-11
+# staircase they stand for: (spec, point, exact F_A there).
+LOWER_MIN = _staircase({"kind": "min", "forms": [["0", "0"], ["1", "1"]]},
+                       {"kind": "linear", "forms": [["1", "1"]]})
+ITEM_11_UPPER = {"kind": "linear", "forms": [["21/20", "1/20"]]}
+ITEM_11 = _staircase({"kind": "linear", "forms": [["1", "0"]]}, ITEM_11_UPPER)
+RANK_ONE_LOWER = _staircase({"kind": "ceil_sqrt_quadratic",
+                             "quadratic": [[1, 0], [0, 0]]}, ITEM_11_UPPER)
+RANK_ONE_UPPER = _staircase(ZERO_LOWER, {"kind": "ceil_sqrt_quadratic",
+                                         "quadratic": [[1, 2], [2, 4]]})
+
+
+@pytest.mark.parametrize("payload, value", [
+    (LOWER_MIN, "2"), (RANK_ONE_LOWER, "1/10"), (RANK_ONE_UPPER, "3"),
+], ids=["lower-min", "rank-one-lower", "rank-one-upper"])
+def test_rules_in_disguise_answer_by_fiber(tmp_path, capsys, payload, value):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(payload))
+    code, out, _ = run(capsys, "volume-fn", "--input", str(path),
+                       "--x", "1,1", "--format", "json")
+    assert code == 0
+    assert (json.loads(out)["value"], json.loads(out)["method"]) == \
+        (value, "fiber")
+
+
+def test_lower_min_in_disguise_has_the_exact_cone(tmp_path, capsys):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(LOWER_MIN))
+    code, out, _ = run(capsys, "no-body", "--input", str(path),
+                       "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["exact"] is True
+    assert {tuple(r) for r in payload["rays"]} == {
+        (1, 0, 1), (0, 0, 1), (1, 1, 0), (0, 1, 0)}
+
+
+@pytest.mark.parametrize("payload", [ITEM_11, RANK_ONE_LOWER],
+                         ids=["linear", "rank-one-quadratic"])
+def test_exact_ladder_against_positivity_exits_4(tmp_path, capsys, payload):
+    # The ladder reads 0, 0, 0, 0, though F_A = (x1 + x2)/20 and the
+    # criterion says e(1, 0) > 0: the grading is not decomposable from
+    # (10, 10) on, past the default --bound 8.
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "mixed-mult", "--input", str(path),
+                         "--type", "1,0")
+    assert (code, out) == (4, "")
+    assert "type (1, 0): exact value 0 > 0 is False, but the positivity " \
+        "criterion says True" in err
+
+
+@pytest.mark.parametrize("name, x", [
+    ("min", "-1,1"), ("segre", "-1,2"), ("concave-pl", "-1,3"),
+    ("golden", "-2"), ("nonpoly", "-1,2"),
+])
+def test_volume_fn_outside_the_orthant_exits_2(capsys, name, x):
+    code, out, err = run(capsys, "volume-fn", "--example", name, f"--x={x}")
+    assert (code, out) == (2, "")
+    assert "negative coordinate" in err
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
