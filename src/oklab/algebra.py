@@ -4,11 +4,11 @@ Everything is driven by the underlying graded semigroup of exponent
 vectors: dimensions of graded pieces are exact lattice-point counts,
 volume functions are evaluated both geometrically (cone fibers of the
 global Newton-Okounkov cone, in the lattice of the degree-0 group) and
-by asymptotic counting, and mixed multiplicities come from exact
-Hilbert-polynomial interpolation with a Fujita-style ladder over
-degree-p subalgebras.  The interpolation (`_stable_fit`) is solve-free:
-Newton forward differences on a shifted principal lattice, checked in
-exact integer arithmetic.
+by asymptotic counting.  Mixed multiplicities are forward differences
+of the volume function behind an exact decomposability test.  The
+Hilbert polynomial of a standard algebra is interpolated exactly
+(`_stable_fit`), solve-free: Newton forward differences on a shifted
+principal lattice, checked in exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ class FiberVolume:
 class MixedMultiplicityReport:
     d: tuple
     value: object                  # Fraction (exact) or float
-    provenance: str                # "exact" | "extrapolated"
-    ladder: tuple = ()             # tuple of (p, Fraction)
+    provenance: str                # "exact" | "estimate" | "extrapolated"
+    ladder: tuple = ()             # a family's (p, Fraction) rungs
     positive: bool = False
 
 
@@ -247,34 +247,59 @@ class MonomialAlgebra:
 
     # -- decomposability, truncations ----------------------------------------
 
-    def is_decomposable(self, bound=4):
-        """(flag, witness): is each piece the sum of its axis pieces?  Exact
-        for a generated A: every generator must lie in the sum of the axis
-        pieces at its degree; the witness is the first that does not.
-        Other sources are scanned over the degrees n <= bound."""
-        if self.is_generated:
-            bad = (deg for val, deg in self.semigroup.generators
-                   if not self._in_axis_sum(val, deg))
-        else:
-            bad = (n for t in range(2, bound * self.s + 1)
-                   for n in compositions(t, self.s) if max(n) <= bound and
-                   self.semigroup.graded_piece(n) != self._axis_sum(n))
-        witness = next(bad, None)
-        return witness is None, witness
+    def is_decomposable(self):
+        """(flag, witness): is each piece the sum of its axis pieces?
 
-    def _axis_sum(self, n):
-        """The sum of the axis pieces at n_1 e_1, ..., n_s e_s."""
-        out = {(0,) * self.r}
-        for i, ni in enumerate(n):
-            e = tuple(ni * int(i == j) for j in range(self.s))
-            out = {tuple(map(operator.add, p, v))
-                   for p in out for v in self.semigroup.graded_piece(e)}
-        return out
+        Exact; true for s = 1.  Generated: each generator must lie in the
+        sum of the axis pieces at its degree; the witness is the first that
+        does not.  A staircase (s >= 2) needs nonzero unit pieces (else
+        UnsupportedSemigroupError), and is then decomposable iff both rules
+        are `_additive`.  Proof: by closure axis pieces are nonempty
+        intervals, so [lo(n), up(n)] contains their sum [sum lo, sum up],
+        equal iff lo and up add up at n.  Rounding g . n with one
+        non-integer g_k does.  Non-integer g_i = p/q and g_k = p'/q' take
+        fractional parts (q-1)/q at some a e_i, a < q, and (q'-1)/q' at
+        some b e_k, b < q', so they round apart at a e_i + b e_k (two
+        irrational ones by density).  As lo(m n)/m -> L(n), an additive
+        rule is linear, g . x, on the orthant: a `max` or `min` then has g
+        among its forms (at x > 0), dominating the rest, and sqrt(Q) has
+        Q + Q^T = 2 g g^T with g integer (`linear` in normal form) or every
+        g_i != 0 irrational.  The witness is then the lexicographically
+        first failing n <= max(8, the rules' common denominator), which two
+        non-integer rational g_i give; else the rule as written.
+        """
+        if self.s == 1:
+            return True, None
+        if self.is_generated:
+            witness = next((deg for val, deg in self.semigroup.generators
+                            if not self._in_axis_sum(val, deg)), None)
+            return witness is None, witness
+        if not all(self.axis_nonvanishing()):
+            raise UnsupportedSemigroupError(
+                "decomposability needs nonzero pieces on every axis")
+        src = self.semigroup.source
+        doubts = [f"the {side} rule as written: {written} is not additive"
+                  for side, written in zip(("lower", "upper"), src.written)
+                  if not _additive(getattr(src, side))]
+        if not doubts:
+            return True, None
+        top = max(8, math.lcm(*(c.denominator for rule in (src.lower,
+                                src.upper) for f in rule.forms for c in f)))
+        axis = [[src.bounds(tuple(k * int(i == j) for j in range(self.s)))
+                 for k in range(top + 1)] for i in range(self.s)]
+        bad = (n for n in product(range(top + 1), repeat=self.s)
+               if src.bounds(n) != tuple(map(sum, zip(
+                   *(axis[i][k] for i, k in enumerate(n))))))
+        return False, next(bad, doubts[0])
 
     def _in_axis_sum(self, val, n):
-        """Whether val is in `_axis_sum` (n), meeting the last axis by
-        difference: that sum is never built."""
-        head = self._axis_sum(n[:-1] + (0,))
+        """Whether val is in the sum of the axis pieces at n_i e_i, meeting
+        the last axis by difference: that sum is never built."""
+        head = {(0,) * self.r}
+        for i, ni in enumerate(n[:-1]):
+            e = tuple(ni * int(i == j) for j in range(self.s))
+            head = {tuple(map(operator.add, p, v))
+                    for p in head for v in self.semigroup.graded_piece(e)}
         last = self.semigroup.graded_piece((0,) * (self.s - 1) + n[-1:])
         return any(tuple(map(operator.sub, val, p)) in head for p in last)
 
@@ -333,28 +358,38 @@ class MonomialAlgebra:
             mixed[d] = c * math.prod(math.factorial(x) for x in d)
         return poly, mixed
 
-    def mixed_multiplicities(self, d, p_schedule=(1, 2, 4, 8),
-                             decomp_bound=4):
-        """Mixed multiplicity e(d; A) via the ladder of p-subalgebras."""
+    def mixed_multiplicities(self, d):
+        """e(d; A) by the paper's theorem: a decomposable grading makes F_A
+        a polynomial, homogeneous of degree q = |d|, so its d-th forward
+        difference at (1, ..., 1), sum over 0 <= c <= d of (-1)^(q - |c|)
+        prod_i C(d_i, c_i) F_A(1 + c), is d! [x^d] F_A: "exact" when each
+        F_A value is, else "estimate".  The paper proves e(d) > 0 iff
+        `positivity` (d); an exact value that disagrees raises
+        InternalConsistencyError."""
         d = tuple(int(x) for x in d)
         q = self.krull_dim() - self.s
         if len(d) != self.s or min(d) < 0 or sum(d) != q:
             raise ValidationError(f"type {d} must be in N^{self.s} with "
                                   f"total degree q={q}")
-        ok, witness = self.is_decomposable(decomp_bound)
+        ok, witness = self.is_decomposable()
         if not ok:
-            raise ValidationError(
-                f"grading is not decomposable; first failure at {witness}")
-
-        def rung(p):
-            ap = self.p_subalgebra(p)
-            if ap.krull_dim() - self.s < q:
-                return Fraction(0)
-            _, mixed = ap.hilbert_polynomial()
-            return Fraction(mixed[d], p ** q)
-
-        return ladder_report(d, rung, p_schedule,
-                             lambda value: self.positivity(d)[0])
+            raise ValidationError("grading is not decomposable; " + (
+                witness if isinstance(witness, str)
+                else f"first failure at {witness}"))
+        value, exact = Fraction(0), True
+        for c in product(*(range(k + 1) for k in d)):
+            fv = self.volume_fn_fiber([1 + k for k in c])
+            value += (-1) ** (q - sum(c)) * math.prod(map(math.comb, d, c)) \
+                * fv.value
+            exact = exact and fv.exact
+        flag = self.positivity(d)[0]
+        if exact and flag != (value > 0):
+            raise InternalConsistencyError(
+                f"type {d}: exact value {value} > 0 is {value > 0}, but the "
+                f"positivity criterion says {flag}")
+        return MixedMultiplicityReport(
+            d=d, value=value, provenance="exact" if exact else "estimate",
+            positive=flag)
 
     def positivity(self, d):
         """(flag, certificate) for e(d; A) > 0 via subset dimensions.
@@ -386,30 +421,15 @@ def subset_positivity(d, rank):
     return True, None
 
 
-def ladder_report(d, rung, p_schedule, positive):
-    """Mixed multiplicity of type ``d`` from the ladder p -> rung(p).
-
-    The value is exact once the last two rungs agree; otherwise one
-    Richardson step extrapolates, since the ladder converges with O(1/p)
-    error.  ``positive(value)`` gives the positivity flag; an exact value
-    whose sign it contradicts raises ``InternalConsistencyError``.
-    """
-    if len(p_schedule) < 2 or min(p_schedule) < 1:
-        raise ValidationError(f"p-schedule {tuple(p_schedule)} needs at "
-                              "least two rungs, each p >= 1")
-    ladder = tuple((p, rung(p)) for p in p_schedule)
-    last, prev = ladder[-1][1], ladder[-2][1]
-    if last == prev:
-        value, provenance = last, "exact"
-    else:
-        value, provenance = 2.0 * float(last) - float(prev), "extrapolated"
-    flag = positive(value)
-    if provenance == "exact" and flag != (value > 0):
-        raise InternalConsistencyError(
-            f"type {d}: exact value {value} > 0 is {value > 0}, but the "
-            f"positivity criterion says {flag}")
-    return MixedMultiplicityReport(d=d, value=value, provenance=provenance,
-                                   ladder=ladder, positive=flag)
+def _additive(rule):
+    """Whether a normal-form rule rounds g . n with at most one g_k not an
+    integer: `linear`, or sqrt(Q) = sqrt(Q_kk) n_k (one entry in Q + Q^T)."""
+    q = rule.quadratic
+    if q:
+        return sum(x + y != 0 for row, col in zip(q, zip(*q))
+                   for x, y in zip(row, col)) == 1
+    return rule.kind == "linear" and \
+        sum(c.denominator > 1 for c in rule.forms[0]) <= 1
 
 
 def _stable_fit(fn, s, q, n0=None, cap=512):

@@ -104,11 +104,10 @@ def _cmd_fiber(args):
 def _cmd_mixed_mult(args):
     algebra = _load_algebra(args)
     dtype = _parse_vector(_require(args, "type"), int)
-    report = algebra.mixed_multiplicities(
-        dtype, p_schedule=args.pschedule, decomp_bound=args.bound)
+    report = algebra.mixed_multiplicities(dtype)
     return {"command": "mixed-mult", "type": list(dtype),
             "value": report.value, "provenance": report.provenance,
-            "positive": report.positive, "ladder": list(report.ladder)}
+            "positive": report.positive}
 
 
 def _cmd_positivity(args):
@@ -240,12 +239,12 @@ def build_parser():
     parser.add_argument("--nmax", type=int, default=500,
                         help="cap for limit fits (default 500)")
     parser.add_argument("--pschedule", default="1,2,4,8",
-                        help="comma-separated p ladder (default 1,2,4,8)")
+                        help="comma-separated p ladder of a family "
+                             "(ideal-family, mixed-volume; default 1,2,4,8)")
     parser.add_argument("--bound", type=int, default=8,
                         help="degree bound for the enumerated cone of a "
-                             "non-polyhedral staircase (no-body, fiber) "
-                             "and for the decomposability check of a "
-                             "staircase (mixed-mult); default 8")
+                             "non-polyhedral staircase (no-body, fiber); "
+                             "default 8")
     return parser
 
 

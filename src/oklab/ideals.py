@@ -41,7 +41,7 @@ import numpy as np
 from .errors import RegularityNotReachedError, ResourceLimitError, \
     UnsupportedIdealError, ValidationError, memory_limit_bytes
 from .polytope import convex_hull, minkowski_sum, mixed_volume
-from .algebra import _stable_fit, ladder_report, subset_positivity
+from .algebra import MixedMultiplicityReport, _stable_fit, subset_positivity
 from .semigroup import tail_fit
 
 
@@ -590,6 +590,23 @@ def _common_homogeneity(fams):
     return None if None in indices else math.lcm(*indices)
 
 
+def ladder_report(d, rung, p_schedule):
+    """Mixed multiplicity of type ``d`` from the ladder p -> rung(p): exact
+    once the last two rungs agree, else one Richardson step extrapolates,
+    as the ladder converges with O(1/p) error.  Positive means > 0, or
+    > 1e-9 when extrapolated."""
+    if len(p_schedule) < 2 or min(p_schedule) < 1:
+        raise ValidationError(f"p-schedule {tuple(p_schedule)} needs at "
+                              "least two rungs, each p >= 1")
+    ladder = tuple((p, rung(p)) for p in p_schedule)
+    (_, prev), (_, last) = ladder[-2:]
+    if last == prev:
+        return MixedMultiplicityReport(d, last, "exact", ladder, last > 0)
+    value = 2.0 * float(last) - float(prev)
+    return MixedMultiplicityReport(d, value, "extrapolated", ladder,
+                                   value > 1e-9)
+
+
 def family_mixed_multiplicities(ifam, jfams, dtype, p_schedule=(1, 2, 4)):
     """e_{(d0,d)} of the families via the ladder over fixed-p ideals.
 
@@ -621,10 +638,7 @@ def family_mixed_multiplicities(ifam, jfams, dtype, p_schedule=(1, 2, 4)):
             ifam.ideal(p), [f.ideal(p) for f in jfams])
         return Fraction(mm.get((d0,) + dvec, Fraction(0)), p ** d)
 
-    report = ladder_report(
-        (d0,) + dvec, rung, p_schedule,
-        lambda value: value > 0 if isinstance(value, Fraction)
-        else value > 1e-9)
+    report = ladder_report((d0,) + dvec, rung, p_schedule)
     if period is None or period > _P_MAX:
         return report
     try:

@@ -143,6 +143,11 @@ class BoundRule:
         return [[c.numerator * (den // c.denominator) for c in f]
                 for f in forms], den
 
+    def __str__(self):
+        rows = "; ".join(", ".join(map(str, row))
+                         for row in self.quadratic or self.forms)
+        return f"{self.kind} [{rows}]"
+
     def value(self, n, side):
         """Integer bound at degree n; ``side`` is 'lower' or 'upper'."""
         if self.kind == "ceil_sqrt_quadratic":
@@ -159,17 +164,19 @@ class BoundRule:
         return _PICKS[self.kind](tuple(_dot(f, n) for f in nums)), den
 
     def normal(self, s):
-        """The same rule on N^s in normal form, its forms read as `_dot`
-        reads them.  sqrt(Q(n)) = |g . n| (`_rank_one_root`) is `linear`
-        |g| when g has one sign, else `max` of g and -g.  A min or max
-        keeps, once each, the forms no other dominates under its pick; one
-        form left is `linear`."""
+        """The same rule on N^s in normal form, its forms and Q read on the
+        first s coordinates (forms as `_dot` reads them).  sqrt(Q(n)) =
+        |g . n| (`_rank_one_root`) is `linear` |g| when g has one sign, else
+        `max` of g and -g.  A min or max keeps, once each, the forms no
+        other dominates under its pick; one form left is `linear`."""
         kind, forms = self.kind, self.forms[:1 if self.kind == "linear"
                                             else None]
         if kind == "ceil_sqrt_quadratic":
-            g = _rank_one_root(self.quadratic)
+            q = tuple(tuple((*row, *[0] * s)[:s])
+                      for row in (*self.quadratic, *[()] * s)[:s])
+            g = _rank_one_root(q)
             if g is None:
-                return self
+                return BoundRule(kind, quadratic=q)
             kind, forms = ("linear", [[abs(c) for c in g]]) if \
                 min(g) >= 0 or max(g) <= 0 else ("max", [g, [-c for c in g]])
         forms = list(dict.fromkeys(
@@ -276,9 +283,7 @@ def closure_doubt(spec):
             why = "the lower rule's Q is not positive semidefinite"
         else:
             continue
-        rows = "; ".join(", ".join(map(str, row))
-                         for row in written.quadratic or written.forms)
-        return f"{why} (the {side} rule as written: {written.kind} [{rows}])"
+        return f"{why} (the {side} rule as written: {written})"
     return None
 
 

@@ -1,4 +1,3 @@
-import itertools
 import math
 from fractions import Fraction
 
@@ -6,12 +5,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import fit_reference as ref
+from decomposition_reference import decomposable_upto, splits_at
 import invariants_reference as inv_ref
 
 from oklab import algebra, polytope
 from oklab.algebra import (FiberVolume, MonomialAlgebra, _stable_fit,
-                           ladder_report, subset_positivity)
-from oklab.errors import (InternalConsistencyError,
+                           subset_positivity)
+from oklab.ideals import ladder_report
+from oklab.errors import (InternalConsistencyError, UnsupportedSemigroupError,
                           RegularityNotReachedError, ValidationError)
 from oklab.polytope import compositions, cone_fiber
 from oklab.semigroup import BoundRule, StaircaseSpec
@@ -184,10 +185,10 @@ def test_fiber_volume_without_valuation_coordinates():
 
 
 @st.composite
-def axis_generated_algebras(draw):
+def axis_generated_algebras(draw, mixed=True):
     """A generated algebra with r, s <= 2 and a unit generator on every
     axis (so every axis piece is nonzero), plus axis generators of
-    degree 2-3 and generators of mixed support."""
+    degree 2-3 and, when ``mixed``, generators of mixed support."""
     r = draw(st.integers(0, 2))
     s = draw(st.integers(1, 2))
     val = st.tuples(*[st.integers(-1, 3)] * r)
@@ -197,9 +198,9 @@ def axis_generated_algebras(draw):
         gens.append((draw(val), unit))
         for k in draw(st.lists(st.integers(1, 3), max_size=2)):
             gens.append((draw(val), tuple(k * u for u in unit)))
-    if s == 2:
-        mixed = st.tuples(st.integers(1, 2), st.integers(1, 2))
-        gens.extend(draw(st.lists(st.tuples(val, mixed), max_size=2)))
+    if s == 2 and mixed:
+        degree = st.tuples(st.integers(1, 2), st.integers(1, 2))
+        gens.extend(draw(st.lists(st.tuples(val, degree), max_size=2)))
     return MonomialAlgebra.from_generators(r, s, gens)
 
 
@@ -258,19 +259,6 @@ def test_decomposability():
     assert single.is_decomposable() == (True, None)
 
 
-def decomposable_upto(a, bound):
-    """The bounded scan: is piece(n) the sum of its axis pieces for every
-    degree n <= bound?"""
-    sg = a.semigroup
-    for n in itertools.product(range(bound + 1), repeat=a.s):
-        axes = [sg.graded_piece(tuple(k * (i == j) for j in range(a.s)))
-                for i, k in enumerate(n)]
-        sums = {tuple(map(sum, zip(*pts))) for pts in itertools.product(*axes)}
-        if sg.graded_piece(n) != sums:
-            return False
-    return True
-
-
 def test_decomposability_of_generators_is_exact():
     # (2|9,1) is not in S_{9 e_1} + S_{e_2} = {0} + {0, 1}; no scan up to
     # degree 8 reaches it.
@@ -291,6 +279,113 @@ def test_decomposability_of_generators_is_exact():
 def test_decomposability_matches_the_bounded_scan(a):
     bound = max(max(deg) for _, deg in a.semigroup.generators)
     assert a.is_decomposable()[0] == decomposable_upto(a, bound)
+
+
+@st.composite
+def decomposable_algebras(draw):
+    """`axis_generated_algebras` without mixed generators, plus generators
+    of mixed support that are sums of two axis generators."""
+    a = draw(axis_generated_algebras(mixed=False))
+    gens = list(a.semigroup.generators)
+    if a.s == 2:
+        pairs = [(g, h) for g in gens for h in gens if g[1][0] and h[1][1]]
+        for (v, d), (w, e) in draw(st.lists(st.sampled_from(pairs),
+                                            max_size=2)):
+            gens.append((tuple(map(sum, zip(v, w))), (d[0], e[1])))
+    return MonomialAlgebra.from_generators(a.r, a.s, gens)
+
+
+@settings(max_examples=40)
+@given(decomposable_algebras(), st.data())
+def test_mixed_multiplicities_are_the_volume_polynomial(a, data):
+    q = a.krull_dim() - a.s
+    reports = [a.mixed_multiplicities(d) for d in compositions(q, a.s)]
+    for rep in reports:
+        assert rep.provenance == "exact" and rep.value >= 0
+        assert rep.positive == a.positivity(rep.d)[0] == (rep.value > 0)
+    x = data.draw(st.tuples(*[st.fractions(F(1, 3), 3)] * a.s))
+    assert a.volume_fn_fiber(x) == FiberVolume(sum(
+        rep.value * math.prod(xi ** di / math.factorial(di)
+                              for xi, di in zip(x, rep.d))
+        for rep in reports), "fiber")
+
+
+@st.composite
+def unit_staircases(draw):
+    """A lower linear or max rule with coefficients in [-1, 0] and an
+    upper linear or min rule with coefficients in [0, 2], s = 2-3: every
+    unit piece holds 0.  Denominators up to 5 - s keep the scan's box
+    (8 + twice the common denominator) small."""
+    s = draw(st.integers(2, 3))
+
+    def rule(kinds, low, high):
+        kind = draw(st.sampled_from(kinds))
+        coeff = st.fractions(low, high, max_denominator=5 - s)
+        return BoundRule(kind, tuple(draw(st.lists(
+            st.tuples(*[coeff] * s), min_size=1,
+            max_size=1 if kind == "linear" else 3))))
+
+    return MonomialAlgebra.from_staircase(StaircaseSpec(
+        s, rule(("linear", "max"), -1, 0), rule(("linear", "min"), 0, 2)))
+
+
+@settings(max_examples=80)
+@given(unit_staircases())
+@example(MonomialAlgebra.from_staircase(StaircaseSpec(
+    2, BoundRule("linear", ((1, 0),)),
+    BoundRule("linear", ((F(21, 20), F(1, 20)),)))))
+def test_staircase_decomposability_matches_the_scan(a):
+    src = a.semigroup.source
+    den = math.lcm(*(c.denominator for rule in (src.lower, src.upper)
+                     for f in rule.forms for c in f))
+    ok, witness = a.is_decomposable()
+    assert ok == decomposable_upto(a, 8 + 2 * den)
+    assert ok or not splits_at(a, witness)
+
+
+def test_staircase_decomposability_of_quadratic_rules():
+    def staircase(s, quadratic):
+        return MonomialAlgebra.from_staircase(StaircaseSpec(
+            s, BoundRule("ceil_sqrt_quadratic", quadratic=quadratic),
+            BoundRule("linear", ((2,) * s,))))
+
+    # ceil(sqrt(2) n1) is additive, though not linear in normal form.
+    root_two = staircase(2, ((2, 0), (0, 0)))
+    assert root_two.semigroup.source.lower.kind == "ceil_sqrt_quadratic"
+    assert root_two.is_decomposable() == (True, None)
+    assert decomposable_upto(root_two, 12)
+    # sqrt(2) (n1 + n2) rounds apart at (1, 1); 2|n| too.
+    assert staircase(2, ((2, 2), (2, 2))).is_decomposable() == (False, (1, 1))
+    assert nonpoly_algebra().is_decomposable() == (False, (1, 1))
+    # e(1) of a one-axis quadratic staircase is the slope of an estimate.
+    line = staircase(1, ((2,),))
+    rep = line.mixed_multiplicities((1,))
+    assert rep.provenance == "estimate" and isinstance(rep.value, float)
+    assert abs(rep.value - (2 - math.sqrt(2))) < 0.05 and rep.positive
+
+
+def test_staircase_decomposability_without_a_witness_names_the_rule():
+    # Q(n) = (n1 + 4 n2)^2 - n1 n2: the lower rule is n1 + 4 n2 while
+    # n1 n2 < 2 n1 + 8 n2 - 1, so it adds up wherever max(n) <= 8.  Its
+    # first failure is at (9, 17).
+    a = MonomialAlgebra.from_staircase(StaircaseSpec(
+        2, BoundRule("ceil_sqrt_quadratic", quadratic=((1, 7), (0, 16))),
+        BoundRule("linear", ((9, 9),))))
+    assert a.is_decomposable() == (False, "the lower rule as written: "
+                                   "ceil_sqrt_quadratic [1, 7; 0, 16] is "
+                                   "not additive")
+    assert decomposable_upto(a, 8) and not splits_at(a, (9, 17))
+    with pytest.raises(ValidationError, match=r"not decomposable; the lower "
+                       r"rule as written: ceil_sqrt_quadratic \[1, 7; 0, 16"):
+        a.mixed_multiplicities((1, 0))
+
+
+def test_staircase_with_a_zero_unit_piece_is_refused():
+    # Lower 2 n1, upper n1 + n2: the piece at e_1 is empty.
+    a = MonomialAlgebra.from_staircase(StaircaseSpec(
+        2, BoundRule("linear", ((2, 0),)), BoundRule("linear", ((1, 1),))))
+    with pytest.raises(UnsupportedSemigroupError, match="nonzero pieces"):
+        a.is_decomposable()
 
 
 def test_truncation_and_p_subalgebra():
@@ -340,7 +435,6 @@ def test_mixed_multiplicities_segre():
     assert rep.value == 1
     assert rep.provenance == "exact"
     assert rep.positive
-    assert all(v == 1 for _, v in rep.ladder)
     rep2 = segre().mixed_multiplicities((2, 0))
     assert rep2.value == 0
     assert not rep2.positive
@@ -406,25 +500,25 @@ def test_positivity_consistency():
 
 
 def test_ladder_report_extrapolates_disagreeing_rungs():
-    rep = ladder_report((1,), lambda p: F(p - 1, p), (1, 2),
-                        lambda value: value > 0)
+    rep = ladder_report((1,), lambda p: F(p - 1, p), (1, 2))
     assert rep.ladder == ((1, F(0)), (2, F(1, 2)))
     assert rep.provenance == "extrapolated"
     assert rep.value == 1.0 and rep.positive
     with pytest.raises(ValidationError):
-        ladder_report((1,), lambda p: F(1), (4,), lambda value: True)
+        ladder_report((1,), lambda p: F(1), (4,))
 
 
-@pytest.mark.parametrize("value, flag", [(F(0), True), (F(1, 3), False)])
-def test_exact_ladder_against_positivity_raises(value, flag):
+@pytest.mark.parametrize("value, flag", [(F(0), True), (F(1), False)])
+def test_exact_ladder_against_positivity_raises(monkeypatch, value, flag):
+    # Segre: e(2, 0) = 0 and e(1, 1) = 1.  A positivity criterion that
+    # contradicts the sign of an exact value is an internal failure.
+    d = (1, 1) if value else (2, 0)
+    monkeypatch.setattr(MonomialAlgebra, "positivity",
+                        lambda self, d: (flag, None))
     with pytest.raises(InternalConsistencyError,
-                       match=rf"type \(1,\): exact value {value} > 0 is "
-                             rf"{not flag}, but .* says {flag}"):
-        ladder_report((1,), lambda p: value, (1, 2), lambda v: flag)
-    # Only an exact value is held to the criterion.
-    rep = ladder_report((1,), lambda p: value + F(1, p), (1, 2),
-                        lambda v: flag)
-    assert rep.provenance == "extrapolated" and rep.positive is flag
+                       match=rf"type \({d[0]}, {d[1]}\): exact value {value} "
+                             rf"> 0 is {not flag}, but .* says {flag}"):
+        segre().mixed_multiplicities(d)
 
 
 def test_stable_fit_recovers_fractional_coefficients():

@@ -2,11 +2,13 @@ import contextlib
 import io
 import json
 import os
+import re
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from decomposition_reference import decomposable_upto
 from oklab.cli import main
 from oklab.serialize import (algebra_from_json, algebra_to_json,
                              family_from_json, family_to_json,
@@ -223,14 +225,27 @@ def test_verify_example_min(capsys):
     assert "result: PASS" in out
 
 
-def test_csv_ladder_format(capsys):
-    code, out, _ = run(capsys, "mixed-mult", "--example", "segre",
-                       "--type", "1,1", "--format", "csv",
+def test_csv_ladder_format(tmp_path, capsys):
+    m = maximal_ideal(2)
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({"I": family_to_json(PowersFamily(m)),
+                                "J": [family_to_json(PowersFamily(m))]}))
+    code, out, _ = run(capsys, "ideal-family", "--input", str(path),
+                       "--type", "1,0", "--format", "csv",
                        "--pschedule", "1,2")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "p,value_num,value_den,float"
     assert lines[1].startswith("1,1,1,")
+
+
+def test_mixed_mult_csv_has_no_ladder(capsys):
+    code, out, _ = run(capsys, "mixed-mult", "--example", "segre",
+                       "--type", "1,1", "--format", "csv")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "key,value"
+    assert "value,1" in lines and "provenance,exact" in lines
 
 
 def test_output_file(tmp_path, capsys):
@@ -398,17 +413,57 @@ def test_lower_min_in_disguise_has_the_exact_cone(tmp_path, capsys):
 
 @pytest.mark.parametrize("payload", [ITEM_11, RANK_ONE_LOWER],
                          ids=["linear", "rank-one-quadratic"])
-def test_exact_ladder_against_positivity_exits_4(tmp_path, capsys, payload):
-    # The ladder reads 0, 0, 0, 0, though F_A = (x1 + x2)/20 and the
-    # criterion says e(1, 0) > 0: the grading is not decomposable from
-    # (10, 10) on, past the default --bound 8.
+def test_undecomposable_staircase_exits_2(tmp_path, capsys, payload):
+    # The upper rule has two non-integer coefficients, so the grading is
+    # not decomposable; its first failure is at degree 20, past 8.  Both
+    # spellings are one rule in normal form.
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps(payload))
     code, out, err = run(capsys, "mixed-mult", "--input", str(path),
                          "--type", "1,0")
-    assert (code, out) == (4, "")
-    assert "type (1, 0): exact value 0 > 0 is False, but the positivity " \
-        "criterion says True" in err
+    assert (code, out) == (2, "")
+    degree = re.search(r"not decomposable; first failure at \((\d+), (\d+)\)",
+                       err)
+    assert degree and degree.groups() == ("1", "19")
+    n = tuple(map(int, degree.groups()))
+    assert not decomposable_upto(algebra_from_json(payload), max(n))
+
+
+def _generated(gens):
+    return {"schema_version": 1, "r": len(gens[0][0]), "s": len(gens[0][1]),
+            "generators": [{"exp": v, "deg": d} for v, d in gens]}
+
+
+@pytest.mark.parametrize("source, dtype, value", [
+    (_generated([([0, 0], [1, 0]), ([2, 1], [1, 0]), ([0, 0], [0, 1]),
+                 ([3, 0], [0, 3])]), "1,1", "1/3"),
+    (_generated([([0], [1]), ([1], [3])]), "1", "1/3"),
+    ("golden", "1", "89/55"),
+], ids=["two-axes", "one-axis", "golden"])
+def test_mixed_mult_answers_by_the_volume_function(tmp_path, capsys, source,
+                                                   dtype, value):
+    # Each value is d! [x^d] F_A: F_A is x1 x2 / 3, x / 3 and 89 x / 55.
+    # Degree-3 axis generators and the slope 89/55 keep a p-subalgebra
+    # ladder over p = 1, 2, 4, 8 short of these limits.
+    if isinstance(source, str):
+        argv = ["--example", source]
+    else:
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps(source))
+        argv = ["--input", str(path)]
+    code, out, _ = run(capsys, "mixed-mult", *argv, "--type", dtype,
+                       "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and "ladder" not in report
+    assert (report["value"], report["provenance"], report["positive"]) == \
+        (value, "exact", True)
+
+
+def test_min_preset_mixed_mult_names_its_first_failure(capsys):
+    code, out, err = run(capsys, "mixed-mult", "--example", "min",
+                         "--type", "1,0")
+    assert (code, out) == (2, "")
+    assert "not decomposable; first failure at (1, 1)" in err
 
 
 @pytest.mark.parametrize("name, x", [
@@ -435,9 +490,10 @@ def test_bound_help_names_what_it_reaches(monkeypatch, capsys):
     text = " ".join(capsys.readouterr().out.split())
     assert "closure/decomposability" not in text
     assert ("--bound BOUND degree bound for the enumerated cone of a "
-            "non-polyhedral staircase (no-body, fiber) and for the "
-            "decomposability check of a staircase (mixed-mult); default 8")\
-        in text
+            "non-polyhedral staircase (no-body, fiber); default 8") in text
+    assert ("--pschedule PSCHEDULE comma-separated p ladder of a family "
+            "(ideal-family, mixed-volume; default 1,2,4,8)") in text
+    assert "mixed-mult);" not in text
     assert "closure" not in text
 
 
@@ -482,13 +538,6 @@ def test_counting_guard_exits_3(monkeypatch, capsys):
     assert "memory guard" in err
 
 
-def test_single_rung_mixed_mult_exits_2(capsys):
-    code, _, err = run(capsys, "mixed-mult", "--example", "segre",
-                       "--type", "1,1", "--pschedule", "3")
-    assert code == 2
-    assert "two rungs" in err
-
-
 def test_single_rung_ideal_family_exits_2(tmp_path, capsys):
     m = maximal_ideal(2)
     payload = {"I": family_to_json(PowersFamily(m)),
@@ -503,6 +552,9 @@ def test_single_rung_ideal_family_exits_2(tmp_path, capsys):
 
 SEGMENTS = {"bodies": [{"vertices": [[0, 0], [1, 0]]},
                        {"vertices": [[0, 0], [0, 1]]}]}
+POWERS_M = {"I": {"family": {"powers": {"vars": 2, "gens": [[1, 0], [0, 1]]}}},
+            "J": [{"family": {"powers": {"vars": 2,
+                                         "gens": [[1, 0], [0, 1]]}}}]}
 MIXED_RINGS = {"I": {"family": {"powers": {"vars": 2,
                                             "gens": [[1, 0], [0, 1]]}}},
                "J": [{"family": {"powers": {"vars": 1, "gens": [[1]]}}}]}
@@ -513,8 +565,7 @@ MIXED_RINGS = {"I": {"family": {"powers": {"vars": 2,
     (["positivity", "--example", "segre", "--type", "1,0,0"], None),
     (["mixed-mult", "--example", "segre", "--type", "1,1,0"], None),
     (["mixed-mult", "--example", "segre", "--type=-1,3"], None),
-    (["mixed-mult", "--example", "segre", "--type", "1,1",
-      "--pschedule", "0,1"], None),
+    (["ideal-family", "--type", "1,0", "--pschedule", "0,1"], POWERS_M),
     (["mixed-volume", "--type", "1,1,0"], SEGMENTS),
     (["mixed-volume", "--type", "2"], SEGMENTS),
     (["ideal-family", "--type", "0,1"], MIXED_RINGS),

@@ -27,18 +27,21 @@ KINDS = ("linear", "max", "min", "ceil_sqrt_quadratic")
 
 
 @st.composite
-def rules(draw, s, kinds=KINDS, psd=None, coeff=3):
+def rules(draw, s, kinds=KINDS, psd=None, coeff=3, any_size=False):
+    """A rule on N^s; with ``any_size`` its matrix is 1..s+1 square."""
     kind = draw(st.sampled_from(kinds))
     if kind == "ceil_sqrt_quadratic":
         entries = st.integers(-coeff, coeff)
+        size = draw(st.integers(1, s + 1)) if any_size else s
         if psd is None:
             psd = draw(st.booleans())
         if psd:
-            a = [[draw(entries) for _ in range(s)] for _ in range(s)]
-            rows = [[sum(a[k][i] * a[k][j] for k in range(s))
-                     for j in range(s)] for i in range(s)]
+            a = [[draw(entries) for _ in range(size)] for _ in range(size)]
+            rows = [[sum(a[k][i] * a[k][j] for k in range(size))
+                     for j in range(size)] for i in range(size)]
         else:
-            rows = [[draw(entries) for _ in range(s)] for _ in range(s)]
+            rows = [[draw(entries) for _ in range(size)]
+                    for _ in range(size)]
         return BoundRule(kind, quadratic=tuple(map(tuple, rows)))
     length = draw(st.sampled_from([s, s, s, s + 1, max(s - 1, 0)]))
     fracs = st.fractions(-coeff, coeff, max_denominator=6)
@@ -101,14 +104,24 @@ def rank_one_quadratics(draw, s):
         for i in range(s)))
 
 
+def resized(rule, s):
+    """The rule with its matrix cut or zero-padded to s x s."""
+    q = rule.quadratic
+    return BoundRule(rule.kind, rule.forms, q and tuple(
+        tuple(q[i][j] if max(i, j) < len(q) else 0 for j in range(s))
+        for i in range(s)))
+
+
 @settings(max_examples=200)
 @given(st.integers(1, 3).flatmap(lambda s: st.tuples(
-    st.just(s), st.one_of(rules(s), rank_one_quadratics(s)))))
+    st.just(s), st.one_of(rules(s, any_size=True), rank_one_quadratics(s)))))
 @example((2, BoundRule("ceil_sqrt_quadratic", quadratic=((2, 2), (2, 2)))))
 @example((2, BoundRule("ceil_sqrt_quadratic", quadratic=((1, 0), (0, 0)))))
+@example((2, BoundRule("ceil_sqrt_quadratic", quadratic=((2,),))))
 def test_normal_form_is_the_rule_on_the_orthant(case):
     s, rule = case
     normal = rule.normal(s)
+    rule = resized(rule, s)
     assert normal.normal(s) == normal
     assert normal.kind == "linear" or len(normal.forms) > 1 or \
         normal.quadratic == rule.quadratic
@@ -118,6 +131,28 @@ def test_normal_form_is_the_rule_on_the_orthant(case):
                 for side in ("lower", "upper"):
                     assert outcome(normal.value, n, side) == \
                         outcome(ref.value, rule, n, side), (n, side)
+
+
+@pytest.mark.parametrize("quadratic, block", [
+    (((4, 0, 0), (0, 4, 0), (0, 0, 4)), ((4, 0), (0, 4))),
+    (((3,),), ((3, 0), (0, 0))),
+], ids=["3x3", "1x1"])
+def test_quadratic_is_read_on_the_first_s_coordinates(quadratic, block):
+    # A matrix that is not s x s answers as its s x s block; the JSON
+    # reader still rejects it.
+    spec = StaircaseSpec(2, BoundRule("ceil_sqrt_quadratic",
+                                      quadratic=quadratic),
+                         BoundRule("linear", ((2, 2),)))
+    assert spec.lower == BoundRule("ceil_sqrt_quadratic", quadratic=block)
+    for n in itertools.product(range(4), repeat=2):
+        assert spec.bounds(n)[0] == ref.value(spec.lower, n, "lower")
+    assert MonomialAlgebra.from_staircase(spec).hilbert_function((1, 1)) == \
+        max(0, 4 - ref.value(spec.lower, (1, 1), "lower") + 1)
+    with pytest.raises(ValidationError, match="rows of length s = 2"):
+        algebra_from_json({"s": 2, "staircase": {
+            "lower": {"kind": "ceil_sqrt_quadratic",
+                      "quadratic": [list(row) for row in quadratic]},
+            "upper": {"kind": "linear", "forms": [["2", "2"]]}}})
 
 
 @pytest.mark.parametrize("rule, kind, forms", [
