@@ -25,11 +25,11 @@ from .algebra import (FiberVolume, MixedMultiplicityReport,
                       MonomialAlgebra)
 from .ideals import (BodyFamily, ExplicitFamily, GradedIdealFamily,
                      MonomialIdeal, PowersFamily, analytic_spread,
-                     bhattacharya_limit, body_to_family,
-                     family_mixed_multiplicities, family_positivity,
-                     fixed_ideal_mixed_multiplicities, maximal_ideal,
-                     mixed_volume_via_ideals, monomial_ideal, power,
-                     product, quotient_dim, quotient_dim_by_mpower)
+                     bhattacharya_limit, family_mixed_multiplicities,
+                     family_positivity, fixed_ideal_mixed_multiplicities,
+                     maximal_ideal, mixed_volume_via_ideals,
+                     monomial_ideal, power, product, quotient_dim,
+                     quotient_dim_by_mpower)
 from .presets import PRESETS, preset
 
 __version__ = "0.1.0"

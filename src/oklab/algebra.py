@@ -51,7 +51,7 @@ class FiberVolume:
 class MixedMultiplicityReport:
     d: tuple
     value: object                  # Fraction (exact) or float
-    provenance: str                # "exact" | "estimate" | "extrapolated"
+    provenance: str  # "exact" | "estimate" | "ladder" | "extrapolated"
     ladder: tuple = ()             # a family's (p, Fraction) rungs
     positive: bool = False
 

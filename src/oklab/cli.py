@@ -120,6 +120,7 @@ def _cmd_positivity(args):
 
 
 def _cmd_ideal_family(args):
+    p_schedule = _parse_vector(args.pschedule, int)
     obj = _load_json(_require(args, "input"))
     try:
         ispec, jspecs = obj["I"], list(obj["J"])
@@ -130,13 +131,14 @@ def _cmd_ideal_family(args):
     jfams = [family_from_json(j) for j in jspecs]
     dtype = _parse_vector(_require(args, "type"), int)
     report = family_mixed_multiplicities(
-        ifam, jfams, dtype, p_schedule=args.pschedule)
+        ifam, jfams, dtype, p_schedule=p_schedule)
     return {"command": "ideal-family", "type": list(dtype),
             "value": report.value, "provenance": report.provenance,
             "positive": report.positive, "ladder": list(report.ladder)}
 
 
 def _cmd_mixed_volume(args):
+    p_schedule = _parse_vector(args.pschedule, int)
     obj = _load_json(_require(args, "input"))
     try:
         specs = list(obj["bodies"])
@@ -145,8 +147,7 @@ def _cmd_mixed_volume(args):
                               f"bodies list: {exc!r}") from exc
     bodies = [polytope_from_json(b) for b in specs]
     dtype = _parse_vector(_require(args, "type"), int)
-    out = mixed_volume_via_ideals(bodies, dtype,
-                                  p_schedule=args.pschedule)
+    out = mixed_volume_via_ideals(bodies, dtype, p_schedule=p_schedule)
     agree = abs(out["ideal_side"] - float(out["geometric_side"])) <= \
         0.05 * max(float(out["geometric_side"]), 1.0)
     return {"command": "mixed-volume", "type": list(dtype),
@@ -255,7 +256,6 @@ def main(argv=None):
         if args.example_pos and not args.example:
             args.example = args.example_pos
         memory_limit_bytes()  # a bad OKLAB_MEMORY_LIMIT_MB exits 2 up front
-        args.pschedule = _parse_vector(args.pschedule, int)
         result = COMMANDS[args.command](args)
         _emit(args, result)
         return 0

@@ -68,9 +68,6 @@ class MonomialIdeal:
     def contains_monomial(self, a):
         return any(all(x <= y for x, y in zip(g, a)) for g in self.min_gens)
 
-    def max_gen_degree(self):
-        return max((sum(g) for g in self.min_gens), default=0)
-
 
 def monomial_ideal(num_vars, gens):
     pts = sorted({tuple(int(x) for x in g) for g in gens})
@@ -281,14 +278,7 @@ def quotient_dim_by_mpower(num, c):
     """dim_k of (num / m^c * num); exact, without materializing m^c*num."""
     if num.is_zero or c <= 0:
         return 0
-    d = num.num_vars
-    maxcoord = max(max(g) for g in num.min_gens)
-    shape = (maxcoord + c + 1,) * d
-    _guard_grid(shape, 5 * math.prod(shape) + 4 * max(shape))
-    gap = np.full(shape, _FAR, dtype=np.int32)
-    for g in num.min_gens:
-        gap[g] = 0
-    return _mpower_colengths(gap, [c])[0]
+    return _numerator_colengths([num], num.num_vars, [c])[0]
 
 
 def _as_m_power(ideal):
@@ -306,43 +296,23 @@ def _as_m_power(ideal):
 class GradedIdealFamily:
     """A graded family {J_n} with J_0 = R and J_i J_j <= J_{i+j}.
 
-    ``homogeneity`` is an index D with J_{kD} integral over J_D^k for
-    every k, or None when the family has none (the module docstring).
+    Powers and body families are graded by construction; an explicit
+    list is checked once, where it is built.  ``homogeneity`` is an index
+    D with J_{kD} integral over J_D^k for every k, or None when the
+    family has none (the module docstring).
     """
 
     homogeneity = None
 
-    def __init__(self, num_vars, beta):
-        self.num_vars = num_vars
-        self.beta = beta
-
     def ideal(self, n):
         raise NotImplementedError
-
-    def check(self, bound=4):
-        """Closure and growth-bound tests over a small index box."""
-        unit = self.ideal(0)
-        if not unit.is_unit:
-            raise ValidationError("family must start at the unit ideal")
-        for i in range(1, bound + 1):
-            ji = self.ideal(i)
-            if ji.max_gen_degree() > self.beta * i:
-                raise ValidationError(
-                    f"generator degree of J_{i} exceeds beta*{i}")
-            for j in range(1, bound + 1 - i):
-                if not ideal_contains(self.ideal(i + j),
-                                      product(ji, self.ideal(j))):
-                    raise ValidationError(
-                        f"family is not graded: J_{i} J_{j} is not inside "
-                        f"J_{i + j}")
-        return self
 
 
 class PowersFamily(GradedIdealFamily):
     homogeneity = 1
 
     def __init__(self, base):
-        super().__init__(base.num_vars, beta=base.max_gen_degree())
+        self.num_vars = base.num_vars
         self.base = base
         self._memo = {0: power(base, 0), 1: base}
 
@@ -364,13 +334,27 @@ class PowersFamily(GradedIdealFamily):
 
 
 class ExplicitFamily(GradedIdealFamily):
+    """The finite family J_0, ..., J_L, checked where it is built: J_0 is
+    the unit ideal, every piece lives in its ring, and J_i J_j lies in
+    J_{i+j} for every pair 1 <= i <= j with i + j <= L (about L^2 / 4
+    products).  Pairs are tried by increasing i + j, then i, and the
+    error names the first that fails."""
+
     def __init__(self, ideals):
         if not ideals:
             raise ValidationError("explicit family needs at least J_0")
-        beta = max((1,) + tuple(
-            -(-i.max_gen_degree() // max(n, 1))
-            for n, i in enumerate(ideals)))
-        super().__init__(ideals[0].num_vars, beta=beta)
+        if not ideals[0].is_unit:
+            raise ValidationError("family must start at the unit ideal")
+        self.num_vars = ideals[0].num_vars
+        if any(j.num_vars != self.num_vars for j in ideals):
+            raise ValidationError("family pieces live in different rings")
+        for n in range(2, len(ideals)):
+            for i in range(1, n // 2 + 1):
+                if not ideal_contains(ideals[n],
+                                      product(ideals[i], ideals[n - i])):
+                    raise ValidationError(
+                        f"family is not graded: J_{i} J_{n - i} is not "
+                        f"inside J_{n}")
         self.ideals = list(ideals)
 
     def ideal(self, n):
@@ -384,7 +368,17 @@ class BodyFamily(GradedIdealFamily):
     """Family of homogenized lattice-point ideals of a convex body.
 
     J_n is generated by the monomials (a, nh - |a|) over the lattice
-    points a of n*K; all generators sit in total degree nh (h integral).
+    points a of n*K; all generators sit in total degree nh.  The family
+    is graded by construction, so nothing checks it:
+
+    - for lattice points a of nK and b of mK, a + b lies in (n+m)K, by
+      convexity;
+    - the homogenizing exponents add: (nh - |a|) + (mh - |b|) =
+      (n+m)h - |a + b|, so the product of two generators is a generator
+      of J_{n+m};
+    - 0K = {0}, so J_0 = R;
+    - h is an integer of at least the largest coordinate sum over K, so
+      every exponent nh - |a| is a nonnegative integer.
     """
 
     def __init__(self, body, h):
@@ -398,7 +392,7 @@ class BodyFamily(GradedIdealFamily):
             raise ValidationError(
                 f"homogenization level h = {h} must be an integer of at "
                 f"least {hmax}, the maximum coordinate sum over the body")
-        super().__init__(d + 1, beta=h)
+        self.num_vars = d + 1
         self.body = body
         self.h = int(h)
         self.homogeneity = math.lcm(
@@ -409,8 +403,6 @@ class BodyFamily(GradedIdealFamily):
         if n not in self._memo:
             pts = _lattice_points(self.body.scale(n))
             gens = [a + (n * self.h - sum(a),) for a in pts]
-            if not gens and n == 0:
-                gens = [(0,) * self.num_vars]
             self._memo[n] = monomial_ideal(self.num_vars, gens)
         return self._memo[n]
 
@@ -427,10 +419,6 @@ def _lattice_points(poly):
         if poly.contains(a):
             out.append(a)
     return out
-
-
-def body_to_family(body, h):
-    return BodyFamily(body, h).check(3)
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +579,9 @@ def _common_homogeneity(fams):
 
 
 def ladder_report(d, rung, p_schedule):
-    """Mixed multiplicity of type ``d`` from the ladder p -> rung(p): exact
-    once the last two rungs agree, else one Richardson step extrapolates,
+    """Mixed multiplicity of type ``d`` from the ladder p -> rung(p): the
+    last rung, with provenance "ladder", once the last two rungs agree
+    (agreement is no certificate), else one Richardson step extrapolates,
     as the ladder converges with O(1/p) error.  Positive means > 0, or
     > 1e-9 when extrapolated."""
     if len(p_schedule) < 2 or min(p_schedule) < 1:
@@ -601,7 +590,7 @@ def ladder_report(d, rung, p_schedule):
     ladder = tuple((p, rung(p)) for p in p_schedule)
     (_, prev), (_, last) = ladder[-2:]
     if last == prev:
-        return MixedMultiplicityReport(d, last, "exact", ladder, last > 0)
+        return MixedMultiplicityReport(d, last, "ladder", ladder, last > 0)
     value = 2.0 * float(last) - float(prev)
     return MixedMultiplicityReport(d, value, "extrapolated", ladder,
                                    value > 1e-9)
@@ -616,8 +605,8 @@ def family_mixed_multiplicities(ifam, jfams, dtype, p_schedule=(1, 2, 4)):
     the schedule): J_{kD} is integral over J_D^k, mixed multiplicities
     depend only on integral closures, and they scale by k^d: rung(D) is
     the "exact" value when D <= _P_MAX and it is counted within the
-    memory guard and the fit cap; else the ladder answers.  Other rungs
-    are counted on their own.
+    memory guard and the fit cap; else the ladder answers, "ladder" or
+    "extrapolated".  Other rungs are counted on their own.
     """
     d = ifam.num_vars
     if any(f.num_vars != d for f in jfams):
@@ -716,7 +705,7 @@ def mixed_volume_via_ideals(bodies, dvec, p_schedule=(1, 2, 4)):
         raise ValidationError(f"type {dvec} must have total degree {d}")
     h = max(1, max(math.ceil(max(sum(v) for v in b.vertices))
                    for b in bodies))
-    jfams = [body_to_family(b, h) for b in bodies]
+    jfams = [BodyFamily(b, h) for b in bodies]
     ifam = PowersFamily(maximal_ideal(d + 1))
     report = family_mixed_multiplicities(
         ifam, jfams, (0,) + dvec, p_schedule)

@@ -11,8 +11,7 @@ from .errors import ValidationError
 from .polytope import convex_hull
 from .semigroup import BoundRule, StaircaseSpec
 from .algebra import MonomialAlgebra
-from .ideals import (BodyFamily, ExplicitFamily, PowersFamily,
-                     body_to_family, monomial_ideal)
+from .ideals import BodyFamily, ExplicitFamily, PowersFamily, monomial_ideal
 
 SCHEMA_VERSION = 1
 
@@ -190,9 +189,9 @@ def family_from_json(obj):
     if kind == "powers":
         return PowersFamily(monomial_ideal(*ideals[0]))
     if kind == "explicit":
-        return ExplicitFamily([monomial_ideal(*f) for f in ideals]).check()
+        return ExplicitFamily([monomial_ideal(*f) for f in ideals])
     if kind == "from_body":
-        return body_to_family(polytope_from_json({"vertices": vertices}), h)
+        return BodyFamily(polytope_from_json({"vertices": vertices}), h)
     raise ValidationError("family schema needs powers, from_body, or "
                           "explicit")
 

@@ -14,8 +14,8 @@ from oklab.serialize import (algebra_from_json, algebra_to_json,
                              family_from_json, family_to_json,
                              ideal_from_json, ideal_to_json,
                              polytope_from_json, polytope_to_json)
-from oklab.ideals import (PowersFamily, maximal_ideal, monomial_ideal,
-                          body_to_family)
+from oklab.ideals import (BodyFamily, PowersFamily, maximal_ideal,
+                          monomial_ideal, power)
 from oklab.polytope import convex_hull
 from oklab.presets import PRESETS, preset
 from oklab.errors import ValidationError
@@ -146,6 +146,85 @@ def test_body_family_answers_its_certified_rung(tmp_path, capsys, schedule):
     assert (report["value"], report["provenance"]) == ("1/3", "exact")
     assert [p for p, _ in report["ladder"]] == \
         ([1, 2] if schedule else [1, 2, 4, 8])
+
+
+def _explicit_j(tmp_path, pieces, swap=False):
+    """An ideal-family input with I the powers of m and J the explicit
+    list ``pieces``, in 2 variables; I and J change places on ``swap``."""
+    powers = family_to_json(PowersFamily(maximal_ideal(2)))
+    explicit = {"family": {"explicit": [
+        {"vars": 2, "gens": [list(g) for g in j.min_gens]} for j in pieces]}}
+    payload = {"I": explicit, "J": [powers]} if swap else \
+        {"I": powers, "J": [explicit]}
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _curved(n):
+    """J_n = (x^a y^b : sqrt a + sqrt b >= sqrt n), by its integer test:
+    r = n - a - b <= 0, or 4ab >= r^2."""
+    return monomial_ideal(2, [(a, b) for a in range(n + 1)
+                              for b in range(n + 1)
+                              if n - a - b <= 0 or
+                              4 * a * b >= (n - a - b) ** 2])
+
+
+def test_explicit_family_is_checked_on_every_pair(tmp_path, capsys):
+    # Every pair with i + j <= 5 holds, but J_1 J_5 = m^6 is not in m^7.
+    m = maximal_ideal(2)
+    path = _explicit_j(tmp_path, [power(m, n) for n in (0, 1, 2, 3, 4, 5, 7)])
+    code, out, err = run(capsys, "ideal-family", "--input", path,
+                         "--type", "0,1", "--pschedule", "1,2")
+    assert (code, out) == (2, "")
+    assert "family is not graded: J_1 J_5 is not inside J_6" in err
+
+
+def test_short_explicit_family_answers_by_its_ladder(tmp_path, capsys):
+    # [R, m, m^2] is graded; its rungs at p = 1, 2 agree, but agreement
+    # is no certificate, so the answer is the "ladder"'s.
+    m = maximal_ideal(2)
+    path = _explicit_j(tmp_path, [power(m, n) for n in range(3)])
+    code, out, _ = run(capsys, "ideal-family", "--input", path,
+                       "--type", "0,1", "--pschedule", "1,2",
+                       "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["value"], report["provenance"]) == ("1", "ladder")
+    code, _, err = run(capsys, "ideal-family", "--input", path,
+                       "--type", "0,1", "--pschedule", "1,2,4")
+    assert code == 2 and "no piece at index 4" in err
+
+
+@pytest.mark.parametrize("swap, dtype", [(False, "0,1"), (True, "1,0")])
+def test_curved_family_is_not_certified(tmp_path, capsys, swap, dtype):
+    # The non-Noetherian family sqrt a + sqrt b >= sqrt n, as the list
+    # J_0..J_8, has no homogeneity index: its agreeing rungs 1 and 2
+    # answer 1 by the ladder, not "exact".  As I, with type (1, 0), the
+    # limit is 1/3.
+    path = _explicit_j(tmp_path, [_curved(n) for n in range(9)], swap)
+    code, out, _ = run(capsys, "ideal-family", "--input", path,
+                       "--type", dtype, "--pschedule", "1,2",
+                       "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["value"], report["provenance"]) == ("1", "ladder")
+
+
+@pytest.mark.parametrize("argv", [
+    ["hilbert", "--example", "segre", "--x", "1,1"],
+    ["mixed-mult", "--example", "segre", "--type", "1,1"]])
+def test_pschedule_is_parsed_only_where_it_is_read(capsys, argv):
+    code, _, _ = run(capsys, *argv, "--pschedule", "a")
+    assert code == 0
+
+
+def test_bad_pschedule_exits_2(tmp_path, capsys):
+    m = maximal_ideal(2)
+    path = _explicit_j(tmp_path, [power(m, n) for n in range(3)])
+    code, _, err = run(capsys, "ideal-family", "--input", path,
+                       "--type", "0,1", "--pschedule", "a")
+    assert code == 2 and "bad vector 'a'" in err
 
 
 @pytest.mark.parametrize("h", [1.5, "3/2"])
@@ -606,7 +685,7 @@ def test_ideal_and_family_roundtrip():
     m = maximal_ideal(2)
     assert ideal_from_json(ideal_to_json(m)).min_gens == m.min_gens
     seg = convex_hull([(F(0), F(0)), (F(1), F(0))])
-    fam = body_to_family(seg, 1)
+    fam = BodyFamily(seg, 1)
     fam2 = family_from_json(family_to_json(fam))
     assert fam2.ideal(2).min_gens == fam.ideal(2).min_gens
 

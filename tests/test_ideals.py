@@ -17,7 +17,7 @@ from oklab.ideals import (_FAR, BodyFamily, ExplicitFamily, PowersFamily,
                           _numerator_colengths, _numerator_grid,
                           _suffix_colengths,
                           analytic_spread,
-                          bhattacharya_limit, body_to_family, family_mixed_multiplicities,
+                          bhattacharya_limit, family_mixed_multiplicities,
                           family_positivity,
                           fixed_ideal_mixed_multiplicities, ideal_contains,
                           maximal_ideal, mixed_volume_via_ideals,
@@ -220,13 +220,13 @@ def test_analytic_spread():
 
 def test_body_family_pieces():
     point = convex_hull([V(0, 0)])
-    fam = body_to_family(point, 1)
+    fam = BodyFamily(point, 1)
     assert fam.ideal(3).min_gens == ((0, 0, 3),)
     seg = convex_hull([V(0, 0), V(1, 0)])
-    fam2 = body_to_family(seg, 1)
+    fam2 = BodyFamily(seg, 1)
     assert fam2.ideal(2).min_gens == ((0, 0, 2), (1, 0, 1), (2, 0, 0))
     square = convex_hull([V(0, 0), V(1, 0), V(0, 1), V(1, 1)])
-    fam3 = body_to_family(square, 2)
+    fam3 = BodyFamily(square, 2)
     assert fam3.ideal(1).min_gens == ((0, 0, 2), (0, 1, 1), (1, 0, 1),
                                       (1, 1, 0))
 
@@ -234,7 +234,7 @@ def test_body_family_pieces():
 def test_body_family_h_too_small():
     square = convex_hull([V(0, 0), V(1, 0), V(0, 1), V(1, 1)])
     with pytest.raises(ValidationError):
-        body_to_family(square, 1)
+        BodyFamily(square, 1)
 
 
 def test_body_family_fractional_h():
@@ -248,25 +248,89 @@ def test_body_family_fractional_h():
 
 def test_body_family_growth_bound():
     seg = convex_hull([V(0, 0), V(1, 0)])
-    fam = body_to_family(seg, 1)
+    fam = BodyFamily(seg, 1)
     for n in range(1, 5):
         assert fam.ideal(n).homogeneous_degree == n * fam.h
 
 
 def test_explicit_family_closure_check():
     m = maximal_ideal(2)
-    good = ExplicitFamily([power(m, n) for n in range(5)])
-    good.check(bound=4)
+    unit = monomial_ideal(2, [(0, 0)])
+    assert ExplicitFamily([unit, m, power(m, 2)]).ideal(2) == power(m, 2)
     # J_1 * J_1 = m^2 is not inside J_2 = m^3.
-    bad = ExplicitFamily([monomial_ideal(2, [(0, 0)]), m, power(m, 3)])
-    with pytest.raises(ValidationError):
-        bad.check(bound=2)
+    with pytest.raises(ValidationError, match="J_1 J_1 is not inside J_2"):
+        ExplicitFamily([unit, m, power(m, 3)])
+    # Every pair up to J_5 holds, but J_1 * J_5 = m^6 is not inside m^7.
+    with pytest.raises(ValidationError, match="J_1 J_5 is not inside J_6"):
+        ExplicitFamily([power(m, n) for n in (0, 1, 2, 3, 4, 5, 7)])
+    with pytest.raises(ValidationError, match="start at the unit ideal"):
+        ExplicitFamily([m, m])
+    with pytest.raises(ValidationError, match="different rings"):
+        ExplicitFamily([unit, maximal_ideal(3)])
+
+
+def _sums_lie_in(pieces, i, j):
+    """Whether every sum of a generator of pieces[i] and one of pieces[j]
+    lies in pieces[i + j]: J_i J_j <= J_{i+j}, pair by pair."""
+    return all(pieces[i + j].contains_monomial(tuple(map(add, g, h)))
+               for g in pieces[i].min_gens for h in pieces[j].min_gens)
+
+
+_BODY_COORD = st.integers(1, 3).flatmap(
+    lambda q: st.integers(0, 2 * q).map(lambda k: F(k, q)))
+
+
+@st.composite
+def _rational_bodies(draw):
+    """A body in 1 or 2 dimensions, in [0, 2]^dim, whose vertices have
+    denominators 1-3."""
+    dim = draw(st.integers(1, 2))
+    return convex_hull(draw(st.lists(st.tuples(*[_BODY_COORD] * dim),
+                                     min_size=1, max_size=4)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_rational_bodies())
+def test_body_families_are_graded_by_construction(body):
+    # BodyFamily checks nothing (its docstring holds the proof); the
+    # pairwise check it once made is the oracle, for every i + j <= 5.
+    fam = BodyFamily(body, math.ceil(max(sum(v) for v in body.vertices)))
+    pieces = [fam.ideal(n) for n in range(6)]
+    assert pieces[0].is_unit
+    assert all(_sums_lie_in(pieces, i, j)
+               for i in range(1, 3) for j in range(i, 6 - i))
+
+
+@st.composite
+def _perturbed_powers(draw):
+    """J_0..J_L (L <= 6) of the powers family of a random m-primary ideal,
+    with one piece J_k (k >= 1) replaced by J_k m^t, t in 0..2."""
+    base = _m_primary(draw)
+    pieces = [power(base, n) for n in range(draw(st.integers(1, 7)))]
+    if len(pieces) > 1:
+        k = draw(st.integers(1, len(pieces) - 1))
+        t = draw(st.integers(0, 2))
+        pieces[k] = product(pieces[k], power(maximal_ideal(2), t))
+    return pieces
+
+
+@settings(max_examples=60, deadline=None)
+@given(_perturbed_powers())
+def test_explicit_family_accepts_exactly_the_graded_lists(pieces):
+    top = len(pieces) - 1
+    graded = all(_sums_lie_in(pieces, i, n - i)
+                 for n in range(2, top + 1) for i in range(1, n // 2 + 1))
+    if graded:
+        assert ExplicitFamily(pieces).ideals == pieces
+    else:
+        with pytest.raises(ValidationError, match="not graded"):
+            ExplicitFamily(pieces)
 
 
 def test_family_positivity():
     seg1 = convex_hull([V(0, 0), V(1, 0)])
     seg2 = convex_hull([V(0, 0), V(0, 1)])
-    f1, f2 = body_to_family(seg1, 1), body_to_family(seg2, 1)
+    f1, f2 = BodyFamily(seg1, 1), BodyFamily(seg2, 1)
     assert family_positivity([f1, f2], (0, 1, 1)) == (True, None)
     ok, cert = family_positivity([f1, f1], (0, 1, 1))
     assert not ok and cert == (1, 2)
@@ -621,13 +685,13 @@ def _homogeneous_families(draw):
     if draw(st.booleans()):
         return ifam, PowersFamily(_m_primary(draw))
     ends = draw(st.lists(_SEGMENT_END, min_size=1, max_size=2))
-    return ifam, body_to_family(convex_hull([(x,) for x in ends]), 1)
+    return ifam, BodyFamily(convex_hull([(x,) for x in ends]), 1)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_homogeneous_families())
 @example((PowersFamily(maximal_ideal(2)),
-          body_to_family(convex_hull([V(F(1, 2)), V(1)]), 1)))
+          BodyFamily(convex_hull([V(F(1, 2)), V(1)]), 1)))
 def test_rung_at_a_multiple_of_the_homogeneity_index(fams):
     # The certificate behind the ladder: the rung e(I_p | J_p) / p^d,
     # counted directly at p = 2D, equals the rung at p = D.  The example
@@ -688,7 +752,7 @@ def test_family_positivity_past_the_largest_p():
     # built.
     tri = convex_hull([V(0, 0), V(1, 0), V(0, 1)])
     big = convex_hull([V(0, 0), V(F(100, 101), 0), V(0, F(102, 103))])
-    fams = [body_to_family(tri, 1), body_to_family(big, 1)]
+    fams = [BodyFamily(tri, 1), BodyFamily(big, 1)]
     assert fams[1].homogeneity == 10403
 
     def bounded(real):
@@ -708,7 +772,7 @@ def test_certified_rung_past_the_largest_p():
     # rung(D) became the value.
     tri = convex_hull([V(0, 0), V(1, 0), V(0, 1)])
     big = convex_hull([V(0, 0), V(F(100, 101), 0), V(0, F(102, 103))])
-    fams = [body_to_family(tri, 1), body_to_family(big, 1)]
+    fams = [BodyFamily(tri, 1), BodyFamily(big, 1)]
 
     def bounded(real):
         def ideal(n):
@@ -741,6 +805,6 @@ def test_certified_rung_out_of_reach_leaves_the_ladder(monkeypatch, error):
                         refuse_rung_3)
     seg = convex_hull([V(F(2, 3)), V(1)])
     report = family_mixed_multiplicities(
-        PowersFamily(m), [body_to_family(seg, 1)], (0, 1), (1, 2))
+        PowersFamily(m), [BodyFamily(seg, 1)], (0, 1), (1, 2))
     assert report.ladder == ((1, 0), (2, 0))
-    assert (report.value, report.provenance) == (0, "exact")
+    assert (report.value, report.provenance) == (0, "ladder")
